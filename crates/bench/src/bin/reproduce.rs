@@ -93,9 +93,9 @@ use apps::BenchApp;
 use bench::{
     admissible_jobs_sweep, format_table1_row, perf_snapshot_json_full, pta_walltime_crossover,
     run_demand_bench, run_edit_bench, run_jobs_sweep, run_loop_ablation, run_null_bench,
-    run_pta_bench, run_repr_comparison, run_simplification_ablation, run_table1_row,
-    table1_header, DemandBenchPoint, EditBenchPoint, JobsSweepPoint, NullBenchPoint,
-    PtaBenchPoint, ServeLatencyPoint, Table1Row,
+    run_pta_bench, run_repr_comparison, run_simplification_ablation, run_table1_row, table1_header,
+    DemandBenchPoint, EditBenchPoint, JobsSweepPoint, NullBenchPoint, PtaBenchPoint,
+    ServeLatencyPoint, Table1Row,
 };
 use symex::{Representation, SymexConfig};
 

@@ -1391,8 +1391,17 @@ mod tests {
         assert_eq!(p.drift, 0, "null report drifted (ground truth or jobs-4 bytes)");
         assert!(p.candidate_sites > p.alarms, "nothing was refuted");
         assert_eq!(p.edge_timeouts, 0, "budget artifact on the scaled null corpus");
-        let snap =
-            perf_snapshot_json_full(&[], 0, 10_000, &[], &[], &[], &[], &[], std::slice::from_ref(&p));
+        let snap = perf_snapshot_json_full(
+            &[],
+            0,
+            10_000,
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
+            std::slice::from_ref(&p),
+        );
         assert!(snap.contains("\"schema\":\"thresher.bench_snapshot/6\""), "{snap}");
         assert!(snap.contains("\"null\":[{"), "{snap}");
         assert!(snap.contains("\"expected_alarms\":"), "{snap}");

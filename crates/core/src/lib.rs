@@ -293,7 +293,8 @@ impl<'p> Thresher<'p> {
         let partial;
         let pta: &dyn PtaView = match &self.demand {
             Some(d) => {
-                partial = d.lock().expect("demand tier poisoned").query_global(self.program, global).0;
+                partial =
+                    d.lock().expect("demand tier poisoned").query_global(self.program, global).0;
                 &*partial
             }
             None => &*self.pta,
@@ -416,12 +417,8 @@ entry main;
         let p = program();
         let exhaustive = Thresher::new(&p);
         let opts = PtaOptions { solver: SolverKind::Demand, ..Default::default() };
-        let demand = Thresher::with_options(
-            &p,
-            ContextPolicy::Insensitive,
-            SymexConfig::default(),
-            &opts,
-        );
+        let demand =
+            Thresher::with_options(&p, ContextPolicy::Insensitive, SymexConfig::default(), &opts);
         assert_eq!(
             exhaustive.query_reachable("CACHE", "str0").is_reachable(),
             demand.query_reachable("CACHE", "str0").is_reachable()

@@ -209,6 +209,74 @@ struct Job {
     deadline: Instant,
     queued_at: Instant,
     out: Out,
+    /// The resident program the request names, if any.
+    program: Option<String>,
+    /// `load_program`, `edit` and `evict` replace or drop their program's
+    /// state, so they run alone on it.
+    barrier: bool,
+}
+
+/// The admission queue plus what runs per program. Requests naming one
+/// program start in arrival order; a barrier starts only once everything
+/// before it on that program has finished, and nothing after it starts
+/// until it has. Requests for different programs (or none) run in
+/// parallel on any number of workers.
+#[derive(Default)]
+struct Pending {
+    jobs: VecDeque<Job>,
+    /// Per program with running requests: `(running, a barrier among them)`.
+    running: HashMap<String, (usize, bool)>,
+}
+
+impl Pending {
+    fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Removes the first job that may start now and marks it running.
+    fn start_next(&mut self) -> Option<Job> {
+        let mut waiting: Vec<&str> = Vec::new();
+        let mut next = None;
+        for (i, job) in self.jobs.iter().enumerate() {
+            let Some(p) = job.program.as_deref() else {
+                next = Some(i);
+                break;
+            };
+            if waiting.contains(&p) {
+                continue;
+            }
+            let free = match self.running.get(p) {
+                None => true,
+                Some(&(_, barrier_running)) => !barrier_running && !job.barrier,
+            };
+            if free {
+                next = Some(i);
+                break;
+            }
+            waiting.push(p);
+        }
+        let job = self.jobs.remove(next?)?;
+        if let Some(p) = &job.program {
+            let entry = self.running.entry(p.clone()).or_default();
+            entry.0 += 1;
+            entry.1 |= job.barrier;
+        }
+        Some(job)
+    }
+
+    /// Marks a started job finished.
+    fn finish(&mut self, job: &Job) {
+        let Some(p) = &job.program else { return };
+        if let Some(entry) = self.running.get_mut(p) {
+            entry.0 -= 1;
+            if job.barrier {
+                entry.1 = false;
+            }
+            if entry.0 == 0 {
+                self.running.remove(p);
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -229,7 +297,7 @@ enum Flow {
 
 struct Shared {
     config: ServeConfig,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Pending>,
     cond: Condvar,
     residency: Mutex<Residency>,
     buckets: Mutex<HashMap<String, Bucket>>,
@@ -260,7 +328,7 @@ impl Daemon {
         Daemon {
             shared: Arc::new(Shared {
                 config,
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(Pending::default()),
                 cond: Condvar::new(),
                 residency: Mutex::new(Residency { map: HashMap::new(), tick: 0 }),
                 buckets: Mutex::new(HashMap::new()),
@@ -709,7 +777,22 @@ impl Shared {
         self.tally(Counter::RequestsAdmitted, 1);
         self.sample(Hist::QueueDepth, depth);
         self.telemetry.record_queue_depth(depth);
-        queue.push_back(Job { req, deadline, queued_at: Instant::now(), out: out.clone() });
+        let program = match req.method.as_str() {
+            "load_program" => req.params.get("name"),
+            "metrics" | "slowlog" => None,
+            _ => req.params.get("program"),
+        }
+        .and_then(Value::as_str)
+        .map(str::to_owned);
+        let barrier = matches!(req.method.as_str(), "load_program" | "edit" | "evict");
+        queue.jobs.push_back(Job {
+            req,
+            deadline,
+            queued_at: Instant::now(),
+            out: out.clone(),
+            program,
+            barrier,
+        });
         drop(queue);
         self.cond.notify_one();
     }
@@ -1216,9 +1299,8 @@ impl Shared {
     ) -> Result<Value, ServeError> {
         let config = self.engine_config(req.params.get("budget").and_then(Value::as_u64));
         phases.note_budget(config.budget);
-        let mut client =
-            crate::null::NullClient::new(&res.program, &res.pta, &res.modref, config)
-                .with_jobs(self.config.jobs);
+        let mut client = crate::null::NullClient::new(&res.program, &res.pta, &res.modref, config)
+            .with_jobs(self.config.jobs);
         if let Some(store) = &res.store {
             client = client.with_store(store.clone());
         }
@@ -1285,19 +1367,33 @@ impl Shared {
     }
 }
 
-/// One request-handler thread: pop, check the deadline, run the handler
-/// inside capture + `catch_unwind`, commit the metrics delta, attach the
-/// cost block, respond — and feed the telemetry plane (latency windows,
-/// queue-wait samples, slow log) along the way.
+/// Marks a started job finished when dropped — also when running it
+/// panics — so requests waiting on its program are never stranded.
+struct Finish<'a>(&'a Shared, &'a Job);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut queue) = self.0.queue.lock() {
+            queue.finish(self.1);
+        }
+        self.0.cond.notify_all();
+    }
+}
+
+/// One request-handler thread: take the next job that may start (see
+/// [`Pending`]), check the deadline, run the handler inside capture +
+/// `catch_unwind`, commit the metrics delta, attach the cost block,
+/// respond — and feed the telemetry plane (latency windows, queue-wait
+/// samples, slow log) along the way.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
-                if let Some(j) = queue.pop_front() {
+                if let Some(j) = queue.start_next() {
                     break Some(j);
                 }
-                if shared.is_draining() {
+                if queue.len() == 0 && shared.is_draining() {
                     break None;
                 }
                 let (q, _) = shared.cond.wait_timeout(queue, Duration::from_millis(100)).unwrap();
@@ -1305,6 +1401,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let Some(job) = job else { return };
+        let _finish = Finish(shared, &job);
 
         let queue_wait_us = u64::try_from(job.queued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
         shared.sample(Hist::QueueWaitMicros, queue_wait_us);
@@ -1723,6 +1820,63 @@ entry main;
         let (_lines, summary) = daemon.run_script(&script);
         assert_eq!(summary.completed, 3);
         assert_eq!(summary.evicted, 1);
+    }
+
+    /// Requests for one program take effect in arrival order on any
+    /// number of workers: a query sent right behind its `load_program`
+    /// sees the program, a query behind `evict` does not, and one behind
+    /// the reload sees it again. Programs are independent of each other.
+    #[test]
+    fn requests_for_one_program_keep_arrival_order_on_any_worker_count() {
+        let req = |id: u64, method: &str, params: Vec<(&str, Value)>| {
+            let params = params.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
+            Value::Obj(vec![
+                ("id".to_owned(), Value::uint(id)),
+                ("method".to_owned(), Value::str(method)),
+                ("params".to_owned(), Value::Obj(params)),
+            ])
+            .to_json()
+        };
+        let load = |id, name: &str| {
+            req(
+                id,
+                "load_program",
+                vec![("name", Value::str(name)), ("source", Value::str(PROGRAM))],
+            )
+        };
+        let query = |id, name: &str| {
+            let params = vec![
+                ("program", Value::str(name)),
+                ("global", Value::str("CACHE")),
+                ("loc", Value::str("str0")),
+            ];
+            req(id, "query_edge", params)
+        };
+        for workers in [1, 2, 8] {
+            let daemon = Daemon::new(ServeConfig { workers, ..ServeConfig::default() });
+            let mut script = Vec::new();
+            for p in 0..8u64 {
+                let (name, id) = (format!("boxy{p}"), 10 * p);
+                script.push(load(id, &name));
+                script.push(query(id + 1, &name));
+                script.push(req(id + 2, "evict", vec![("program", Value::str(&name))]));
+                script.push(query(id + 3, &name));
+                script.push(load(id + 4, &name));
+                script.push(query(id + 5, &name));
+            }
+            let (lines, summary) = daemon.run_script(&script.join("\n"));
+            assert_eq!(summary.admitted, 48, "workers={workers}");
+            for p in 0..8u64 {
+                let id = 10 * p;
+                for ok in [id + 1, id + 5] {
+                    let v = obs::json::parse(response_for(&lines, ok)).unwrap();
+                    assert!(v.get("ok").is_some(), "workers={workers} id={ok}: {v:?}");
+                }
+                let v = obs::json::parse(response_for(&lines, id + 3)).unwrap();
+                let code = v.get("err").and_then(|e| e.get("code")).and_then(Value::as_str);
+                assert_eq!(code, Some("not-loaded"), "workers={workers} id={}", id + 3);
+            }
+        }
     }
 
     #[test]

@@ -205,8 +205,7 @@ pub(super) fn cost_value(
     wall_us: u64,
     queue_wait_us: u64,
 ) -> Value {
-    let solver_ns: u64 =
-        delta.observations().iter().filter(|(h, _)| *h == Hist::SolverNanos).map(|(_, v)| v).sum();
+    let solver_ns = delta.histogram(Hist::SolverNanos).sum;
     let phase_obj = Value::Obj(
         ["parse", "pta", "edit", "symex", "cache"]
             .iter()

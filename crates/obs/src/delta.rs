@@ -10,31 +10,83 @@
 //! and [`MetricsDelta::replay`] applies the batch to the global recorder at
 //! commit time. Trace events (spans, instants) are *not* buffered — they
 //! pass straight to the ring and are excluded from determinism guarantees.
+//!
+//! A delta aggregates each histogram exactly as the registry does — count,
+//! saturating sum, max and log₂ bucket counts — so its size does not grow
+//! with the number of observations, and replaying it leaves the registry
+//! in the same state as the original observations would have.
 
 use std::cell::RefCell;
 
-use crate::{Counter, Hist};
+use crate::metrics::{bucket_index, bucket_lower_bound, NUM_BUCKETS};
+use crate::{Counter, Hist, HistSnapshot};
 
-/// A batch of counter increments and raw (unbucketed) histogram
-/// observations, captured on one thread and replayable later. Replaying the
-/// delta produces exactly the same registry state as recording the
-/// original calls directly.
+/// One histogram's aggregate: exactly the state a registry keeps.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct HistAgg {
+    count: u64,
+    sum: u64,
+    max: u64,
+    buckets: [u64; NUM_BUCKETS],
+}
+
+impl Default for HistAgg {
+    fn default() -> Self {
+        HistAgg { count: 0, sum: 0, max: 0, buckets: [0; NUM_BUCKETS] }
+    }
+}
+
+impl HistAgg {
+    fn observe(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+    }
+
+    fn merge(&mut self, snap: &HistSnapshot) {
+        // Saturating: merged aggregates may come from a decision store on
+        // disk, and an absurd count must not panic the replay.
+        for &(lb, n) in &snap.buckets {
+            let b = &mut self.buckets[bucket_index(lb)];
+            *b = b.saturating_add(n);
+        }
+        self.count = self.count.saturating_add(snap.count);
+        self.sum = self.sum.saturating_add(snap.sum);
+        self.max = self.max.max(snap.max);
+    }
+
+    fn snapshot(&self) -> HistSnapshot {
+        let buckets = (0..NUM_BUCKETS)
+            .filter(|&i| self.buckets[i] > 0)
+            .map(|i| (bucket_lower_bound(i), self.buckets[i]))
+            .collect();
+        HistSnapshot { count: self.count, sum: self.sum, max: self.max, buckets }
+    }
+}
+
+/// A batch of counter increments and histogram aggregates, captured on one
+/// thread and replayable later. Replaying the delta produces exactly the
+/// same registry state as recording the original calls directly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsDelta {
     counters: [u64; Counter::COUNT],
-    observations: Vec<(Hist, u64)>,
+    hists: [HistAgg; Hist::COUNT],
 }
 
 impl Default for MetricsDelta {
     fn default() -> Self {
-        MetricsDelta { counters: [0; Counter::COUNT], observations: Vec::new() }
+        MetricsDelta {
+            counters: [0; Counter::COUNT],
+            hists: std::array::from_fn(|_| HistAgg::default()),
+        }
     }
 }
 
 impl MetricsDelta {
     /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.observations.is_empty() && self.counters.iter().all(|&n| n == 0)
+        self.hists.iter().all(|h| h.count == 0) && self.counters.iter().all(|&n| n == 0)
     }
 
     /// Captured total for counter `c`.
@@ -42,24 +94,27 @@ impl MetricsDelta {
         self.counters[c.index()]
     }
 
-    /// Captured observations, in emission order.
-    pub fn observations(&self) -> &[(Hist, u64)] {
-        &self.observations
+    /// Captured aggregate of histogram `h`.
+    pub fn histogram(&self, h: Hist) -> HistSnapshot {
+        self.hists[h.index()].snapshot()
     }
 
     /// Rebuilds a delta from previously-serialized parts: per-counter
-    /// totals as `(counter, n)` pairs plus ordered histogram
-    /// observations. Replaying the result produces the same registry
-    /// state as replaying the original — this is the deserialization
-    /// counterpart of [`Self::counter`]/[`Self::observations`] used by
-    /// the persistent refutation cache.
+    /// totals as `(counter, n)` pairs plus per-histogram aggregates.
+    /// Replaying the result produces the same registry state as replaying
+    /// the original — this is the deserialization counterpart of
+    /// [`Self::counter`]/[`Self::histogram`] used by the persistent
+    /// refutation cache.
     pub fn from_parts(
         counters: impl IntoIterator<Item = (Counter, u64)>,
-        observations: Vec<(Hist, u64)>,
+        hists: impl IntoIterator<Item = (Hist, HistSnapshot)>,
     ) -> Self {
-        let mut d = MetricsDelta { counters: [0; Counter::COUNT], observations };
+        let mut d = MetricsDelta::default();
         for (c, n) in counters {
             d.add(c, n);
+        }
+        for (h, snap) in hists {
+            d.merge_hist(h, &snap);
         }
         d
     }
@@ -69,16 +124,26 @@ impl MetricsDelta {
     }
 
     fn observe(&mut self, h: Hist, v: u64) {
-        self.observations.push((h, v));
+        self.hists[h.index()].observe(v);
     }
 
-    /// Applies the batch through [`add`](crate::add)/[`observe`](crate::observe)
-    /// (a no-op when recording is disabled). A [`capture`] active on the
-    /// calling thread therefore buffers the replayed metrics like any other
-    /// emission — exactly once — so a higher-level consumer (e.g. a
-    /// per-request report in `thresher-serve`) sees everything the
-    /// scheduler commits beneath it. With no capture active, the batch goes
-    /// straight to the installed recorder as before.
+    fn merge_hist(&mut self, h: Hist, snap: &HistSnapshot) {
+        self.hists[h.index()].merge(snap);
+    }
+
+    /// The captured histograms that saw at least one observation.
+    fn observed(&self) -> impl Iterator<Item = (Hist, &HistAgg)> {
+        Hist::ALL.iter().map(|&h| (h, &self.hists[h.index()])).filter(|(_, a)| a.count > 0)
+    }
+
+    /// Applies the batch through [`add`](crate::add) and
+    /// [`merge_hist`](crate::merge_hist) (a no-op when recording is
+    /// disabled). A [`capture`] active on the calling thread therefore
+    /// buffers the replayed metrics like any other emission — exactly once
+    /// — so a higher-level consumer (e.g. a per-request report in
+    /// `thresher-serve`) sees everything the scheduler commits beneath it.
+    /// With no capture active, the batch goes straight to the installed
+    /// recorder as before.
     pub fn replay(&self) {
         if !crate::enabled() {
             return;
@@ -88,8 +153,8 @@ impl MetricsDelta {
                 crate::add(Counter::ALL[i], n);
             }
         }
-        for &(h, v) in &self.observations {
-            crate::observe(h, v);
+        for (h, agg) in self.observed() {
+            crate::merge_hist(h, &agg.snapshot());
         }
     }
 
@@ -102,8 +167,8 @@ impl MetricsDelta {
                 registry.add(Counter::ALL[i], n);
             }
         }
-        for &(h, v) in &self.observations {
-            registry.observe(h, v);
+        for (h, agg) in self.observed() {
+            registry.merge_hist(h, &agg.snapshot());
         }
     }
 }
@@ -131,6 +196,17 @@ pub(crate) fn buffered_observe(h: Hist, v: u64) -> bool {
     CAPTURE.with(|cell| match cell.borrow_mut().as_mut() {
         Some(d) => {
             d.observe(h, v);
+            true
+        }
+        None => false,
+    })
+}
+
+/// Routes a histogram merge into the active capture buffer, if any.
+pub(crate) fn buffered_merge(h: Hist, snap: &HistSnapshot) -> bool {
+    CAPTURE.with(|cell| match cell.borrow_mut().as_mut() {
+        Some(d) => {
+            d.merge_hist(h, snap);
             true
         }
         None => false,
@@ -182,7 +258,8 @@ mod tests {
         assert_eq!(rec.counter(Counter::EdgesRefuted), 0);
         assert_eq!(rec.histogram(Hist::HeapCells).count, 0);
         assert_eq!(delta.counter(Counter::EdgesRefuted), 2);
-        assert_eq!(delta.observations(), &[(Hist::HeapCells, 5)]);
+        assert_eq!(delta.histogram(Hist::HeapCells).count, 1);
+        assert_eq!(delta.histogram(Hist::HeapCells).sum, 5);
         assert!(!delta.is_empty());
 
         delta.replay();
@@ -228,7 +305,7 @@ mod tests {
         let ((), outer) = capture(|| inner.replay());
         assert_eq!(rec.counter(Counter::EdgesRefuted), 0);
         assert_eq!(outer.counter(Counter::EdgesRefuted), 4);
-        assert_eq!(outer.observations(), &[(Hist::HeapCells, 9)]);
+        assert_eq!(outer.histogram(Hist::HeapCells), inner.histogram(Hist::HeapCells));
 
         outer.replay();
         assert_eq!(rec.counter(Counter::EdgesRefuted), 4);
@@ -251,6 +328,65 @@ mod tests {
         // The global recorder stays untouched.
         assert_eq!(rec.counter(Counter::SolverCalls), 0);
         crate::uninstall();
+    }
+
+    #[test]
+    fn aggregated_replay_matches_direct_observation() {
+        let _serial = crate::test_lock();
+        let rec = MemRecorder::install_static(RingCapacity::default());
+        let values = [0, 1, 2, 3, 7, 8, 1 << 40, u64::MAX, u64::MAX, 5];
+        rec.reset();
+        for &v in &values {
+            crate::observe(Hist::SolverNanos, v);
+        }
+        let direct = rec.histogram(Hist::SolverNanos);
+
+        rec.reset();
+        let ((), delta) = capture(|| {
+            for &v in &values {
+                crate::observe(Hist::SolverNanos, v);
+            }
+        });
+        // Saturating sum, max and every bucket survive aggregation.
+        assert_eq!(delta.histogram(Hist::SolverNanos), direct);
+        // A serialization round trip through the parts is lossless too.
+        let rebuilt = MetricsDelta::from_parts(
+            [(Counter::SolverCalls, 3)],
+            [(Hist::SolverNanos, delta.histogram(Hist::SolverNanos))],
+        );
+        rebuilt.replay();
+        assert_eq!(rec.histogram(Hist::SolverNanos), direct);
+        let reg = crate::Registry::new();
+        rebuilt.replay_into(&reg);
+        assert_eq!(reg.histogram(Hist::SolverNanos), direct);
+        crate::uninstall();
+    }
+
+    #[test]
+    fn default_recorder_merge_keeps_count_buckets_and_max() {
+        /// A recorder that only implements `observe`, so `merge_hist`
+        /// takes the trait's default.
+        struct ObserveOnly(crate::Registry);
+        impl crate::Recorder for ObserveOnly {
+            fn add(&self, _: Counter, _: u64) {}
+            fn observe(&self, h: Hist, v: u64) {
+                self.0.observe(h, v);
+            }
+            fn event(&self, _: crate::TraceEvent) {}
+        }
+        let direct = crate::Registry::new();
+        for v in [0, 3, 5, 6, 100, 1 << 20] {
+            direct.observe(Hist::HeapCells, v);
+        }
+        let snap = direct.histogram(Hist::HeapCells);
+        let rec = ObserveOnly(crate::Registry::new());
+        crate::Recorder::merge_hist(&rec, Hist::HeapCells, &snap);
+        let merged = rec.0.histogram(Hist::HeapCells);
+        assert_eq!(
+            (merged.count, merged.max, &merged.buckets),
+            (snap.count, snap.max, &snap.buckets)
+        );
+        assert!(merged.sum <= snap.sum);
     }
 
     #[test]

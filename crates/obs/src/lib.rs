@@ -82,6 +82,26 @@ pub trait Recorder: Send + Sync {
     fn add(&self, c: Counter, n: u64);
     /// Records one observation `v` into histogram `h`.
     fn observe(&self, h: Hist, v: u64);
+    /// Folds an aggregated histogram into `h` (replaying a
+    /// [`MetricsDelta`]). Recorders that keep registry-shaped state should
+    /// override this to merge exactly; the default re-observes the maximum
+    /// once and every other value at its bucket's lower bound, which keeps
+    /// the count, the buckets and the maximum exact but can understate the
+    /// sum.
+    fn merge_hist(&self, h: Hist, snap: &HistSnapshot) {
+        if snap.count == 0 {
+            return;
+        }
+        self.observe(h, snap.max);
+        let top = bucket_lower_bound(bucket_index(snap.max));
+        for &(lb, n) in &snap.buckets {
+            let n = if lb == top { n.saturating_sub(1) } else { n };
+            for _ in 0..n {
+                self.observe(h, lb);
+            }
+        }
+    }
+
     /// Records one completed span or instant event.
     fn event(&self, ev: TraceEvent);
     /// Whether spans of `kind` should be materialized at all. Returning
@@ -163,6 +183,21 @@ pub fn observe(h: Hist, v: u64) {
     }
     if let Some(r) = installed() {
         r.observe(h, v);
+    }
+}
+
+/// Folds an aggregated histogram into `h` on the installed recorder, if
+/// any. Inside an active [`capture`] on this thread, it is merged into the
+/// capture's [`MetricsDelta`] instead.
+pub fn merge_hist(h: Hist, snap: &HistSnapshot) {
+    if !enabled() {
+        return;
+    }
+    if delta::buffered_merge(h, snap) {
+        return;
+    }
+    if let Some(r) = installed() {
+        r.merge_hist(h, snap);
     }
 }
 

@@ -129,6 +129,10 @@ impl Recorder for MemRecorder {
         self.registry.observe(h, v);
     }
 
+    fn merge_hist(&self, h: Hist, snap: &HistSnapshot) {
+        self.registry.merge_hist(h, snap);
+    }
+
     fn event(&self, ev: TraceEvent) {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         ring.tids.insert(ev.tid);

@@ -290,6 +290,24 @@ impl HistCells {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Folds in another histogram's aggregate, leaving the same state as
+    /// observing its values one by one would.
+    fn merge(&self, snap: &HistSnapshot) {
+        for &(lb, n) in &snap.buckets {
+            self.buckets[bucket_index(lb)].fetch_add(n, Ordering::Relaxed);
+        }
+        self.count.fetch_add(snap.count, Ordering::Relaxed);
+        let mut cur = self.sum.load(Ordering::Relaxed);
+        loop {
+            let next = cur.saturating_add(snap.sum);
+            match self.sum.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
+            }
+        }
+        self.max.fetch_max(snap.max, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> HistSnapshot {
         let mut buckets = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
@@ -409,6 +427,13 @@ impl Registry {
     #[inline]
     pub fn observe(&self, h: Hist, v: u64) {
         self.hists[h.index()].observe(v);
+    }
+
+    /// Folds an aggregated histogram (e.g. from a
+    /// [`MetricsDelta`](crate::MetricsDelta)) into `h`: the result equals
+    /// observing the aggregated values one by one.
+    pub fn merge_hist(&self, h: Hist, snap: &HistSnapshot) {
+        self.hists[h.index()].merge(snap);
     }
 
     /// Current value of `c`.

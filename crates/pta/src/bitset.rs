@@ -12,6 +12,11 @@ impl BitSet {
         BitSet { words: Vec::new() }
     }
 
+    /// Removes every element, keeping the allocated words for reuse.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
     /// Creates a set containing a single element.
     pub fn singleton(bit: usize) -> Self {
         let mut s = BitSet::new();

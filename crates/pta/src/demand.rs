@@ -462,8 +462,7 @@ impl DemandPta {
             None => (solver.locs.clone(), solver.locs.ids().map(Some).collect()),
         };
         let perm = table.canonicalize(program);
-        let remap =
-            |l: usize| -> Option<u32> { map[l].map(|fresh| perm[fresh.index()].0) };
+        let remap = |l: usize| -> Option<u32> { map[l].map(|fresh| perm[fresh.index()].0) };
 
         let reps: Vec<u32> = (0..n).map(|i| solver.find_read(i) as u32).collect();
 
@@ -778,14 +777,14 @@ impl DemandPta {
         let mut producers: HashMap<HeapEdge, Vec<CmdId>> = HashMap::new();
         let mut var_pt: HashMap<VarId, BitSet> = HashMap::new();
         let field_producers = |this: &mut Self,
-                                   producers: &mut HashMap<HeapEdge, Vec<CmdId>>,
-                                   var_pt: &mut HashMap<VarId, BitSet>,
-                                   qs: &mut QueryScratch,
-                                   obj: VarId,
-                                   field: FieldId,
-                                   y: VarId,
-                                   cmd_id: CmdId,
-                                   array: bool|
+                               producers: &mut HashMap<HeapEdge, Vec<CmdId>>,
+                               var_pt: &mut HashMap<VarId, BitSet>,
+                               qs: &mut QueryScratch,
+                               obj: VarId,
+                               field: FieldId,
+                               y: VarId,
+                               cmd_id: CmdId,
+                               array: bool|
          -> Option<()> {
             let mut base_pt = match var_pt.get(&obj) {
                 Some(pt) => pt.clone(),
@@ -929,9 +928,7 @@ impl DemandPta {
             }
         }
         for l in slice.closed_locs.iter() {
-            for &(f, _) in
-                self.fields_of_loc.get(&(l as u32)).map(Vec::as_slice).unwrap_or(&[])
-            {
+            for &(f, _) in self.fields_of_loc.get(&(l as u32)).map(Vec::as_slice).unwrap_or(&[]) {
                 let lid = LocId(l as u32);
                 if !slice.heap.contains_key(&(lid, f)) && !o.pt_field(lid, f).is_empty() {
                     return false;
@@ -1080,8 +1077,7 @@ entry main;
     #[test]
     fn producers_match_exhaustive_on_slice_edges() {
         let p = parse(BOXY).expect("parse");
-        let exhaustive =
-            analyze_with(&p, ContextPolicy::Insensitive, &PtaOptions::default());
+        let exhaustive = analyze_with(&p, ContextPolicy::Insensitive, &PtaOptions::default());
         let mut demand = DemandPta::analyze(&p, ContextPolicy::Insensitive, &PtaOptions::default());
         let root = p.global_by_name("ROOT").unwrap();
         let (partial, _) = demand.query_global(&p, root);

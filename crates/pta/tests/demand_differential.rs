@@ -222,11 +222,7 @@ fn budget_exhaustion_changes_cost_never_answers() {
             let mut demand = DemandPta::analyze(
                 &built.program,
                 policy.clone(),
-                &PtaOptions {
-                    solver: SolverKind::Demand,
-                    demand_budget: 1,
-                    ..Default::default()
-                },
+                &PtaOptions { solver: SolverKind::Demand, demand_budget: 1, ..Default::default() },
             );
             check_against_reference(&built, &mut demand, &reference, false);
         }

@@ -205,6 +205,25 @@ impl ConstraintSet {
         self.atoms.retain(keep);
     }
 
+    /// Renames symbolic ids in place via `f`, then drops atoms the renaming
+    /// made equal to an earlier one — the same set as collecting the
+    /// renamed atoms into a fresh one with [`ConstraintSet::add_atom`].
+    pub fn rename_syms(&mut self, f: impl Fn(u32) -> u32) {
+        for a in &mut self.atoms {
+            a.lhs = a.lhs.map_sym(&f);
+            a.rhs = a.rhs.map_sym(&f);
+        }
+        let mut kept = 0;
+        for i in 0..self.atoms.len() {
+            let a = self.atoms[i];
+            if !self.atoms[..kept].contains(&a) {
+                self.atoms[kept] = a;
+                kept += 1;
+            }
+        }
+        self.atoms.truncate(kept);
+    }
+
     /// Decides satisfiability over the integers, treating solver failure
     /// as satisfiable (the conservative direction: refutations stay sound).
     /// See the [crate docs](self) for the completeness guarantee.
@@ -220,41 +239,131 @@ impl ConstraintSet {
     /// verdict counter, and a latency observation — plus a fine-grained
     /// span when an installed recorder asks for one.
     pub fn try_is_sat(&self) -> Result<bool, SolverError> {
-        let timer = obs::timer();
-        let _span =
-            obs::span_with(obs::SpanKind::SolverCall, || format!("is_sat/{}", self.atoms.len()));
-        let result = self.try_is_sat_inner();
-        if obs::enabled() {
-            obs::add(obs::Counter::SolverCalls, 1);
-            let verdict = match &result {
-                Ok(true) => obs::Counter::SolverSat,
-                Ok(false) => obs::Counter::SolverUnsat,
-                Err(_) => obs::Counter::SolverFailures,
-            };
-            obs::add(verdict, 1);
-            obs::observe_elapsed_ns(obs::Hist::SolverNanos, timer);
-        }
-        result
+        self.try_is_sat_with(&[])
     }
 
-    fn try_is_sat_inner(&self) -> Result<bool, SolverError> {
+    /// Decides satisfiability of `self ∧ extra` exactly as if every atom of
+    /// `extra` had been added to a copy of `self` with
+    /// [`ConstraintSet::add_atom`], without building that copy. Metered
+    /// like [`ConstraintSet::try_is_sat`]: one solver call.
+    pub fn try_is_sat_with(&self, extra: &[Atom]) -> Result<bool, SolverError> {
+        Scratch::decide(&self.atoms, extra, None)
+    }
+
+    /// True if this conjunction entails `atom` (refutation-sound: may
+    /// return false negatives, never false positives). Solver failure is
+    /// treated as non-entailment.
+    pub fn implies(&self, atom: &Atom) -> bool {
+        self.try_implies(atom).unwrap_or(false)
+    }
+
+    /// Entailment check reporting solver failures instead of panicking.
+    pub fn try_implies(&self, atom: &Atom) -> Result<bool, SolverError> {
+        self.try_implies_with(&[], atom)
+    }
+
+    /// True if `self ∧ extra` entails `atom`: the answer
+    /// [`ConstraintSet::implies`] gives on the conjunction, without
+    /// building it.
+    pub fn implies_with(&self, extra: &[Atom], atom: &Atom) -> bool {
+        self.try_implies_with(extra, atom).unwrap_or(false)
+    }
+
+    fn try_implies_with(&self, extra: &[Atom], atom: &Atom) -> Result<bool, SolverError> {
+        if self.atoms.contains(atom) || extra.contains(atom) {
+            return Ok(true);
+        }
+        match atom.op {
+            // The negation of Eq is Ne, whose unsat check is incomplete, so
+            // entailment of Eq goes through both inequalities instead.
+            CmpOp::Eq => {
+                let le = Atom::new(CmpOp::Le, atom.lhs, atom.rhs);
+                let ge = Atom::new(CmpOp::Ge, atom.lhs, atom.rhs);
+                Ok(self.try_implies_with(extra, &le)? && self.try_implies_with(extra, &ge)?)
+            }
+            _ => Ok(!Scratch::decide(&self.atoms, extra, Some(atom.negate()))?),
+        }
+    }
+
+    /// True if every atom of `other` is entailed by `self`.
+    pub fn entails_all(&self, other: &ConstraintSet) -> bool {
+        other.atoms.iter().all(|a| self.implies(a))
+    }
+}
+
+/// Per-thread buffers of the decision procedure, reused across calls so a
+/// satisfiability check allocates nothing once they have grown to the
+/// largest conjunction seen.
+#[derive(Default)]
+struct Scratch {
+    /// The conjunction being decided, deduplicated in insertion order.
+    atoms: Vec<Atom>,
+    nodes: Vec<Node>,
+    /// `a - b <= c` as edge `b -> a` with weight `c`.
+    edges: Vec<(usize, usize, i64)>,
+    diseqs: Vec<((Node, i64), (Node, i64))>,
+    dist: Vec<i64>,
+    /// Row-major all-pairs distance matrix.
+    apsp: Vec<i64>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Decides `base ∧ extra ∧ last` (atoms added in that order with
+    /// [`ConstraintSet::add_atom`] semantics) as one metered solver call.
+    fn decide(base: &[Atom], extra: &[Atom], last: Option<Atom>) -> Result<bool, SolverError> {
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.atoms.clear();
+            scratch.atoms.extend_from_slice(base);
+            for &a in extra.iter().chain(&last) {
+                if !scratch.atoms.contains(&a) {
+                    scratch.atoms.push(a);
+                }
+            }
+            let timer = obs::timer();
+            let _span = obs::span_with(obs::SpanKind::SolverCall, || {
+                format!("is_sat/{}", scratch.atoms.len())
+            });
+            let result = scratch.is_sat();
+            if obs::enabled() {
+                obs::add(obs::Counter::SolverCalls, 1);
+                let verdict = match &result {
+                    Ok(true) => obs::Counter::SolverSat,
+                    Ok(false) => obs::Counter::SolverUnsat,
+                    Err(_) => obs::Counter::SolverFailures,
+                };
+                obs::add(verdict, 1);
+                obs::observe_elapsed_ns(obs::Hist::SolverNanos, timer);
+            }
+            result
+        })
+    }
+
+    fn node_of(&mut self, n: Node) -> usize {
+        if let Some(i) = self.nodes.iter().position(|&m| m == n) {
+            i
+        } else {
+            self.nodes.push(n);
+            self.nodes.len() - 1
+        }
+    }
+
+    /// Decides the loaded conjunction.
+    fn is_sat(&mut self) -> Result<bool, SolverError> {
         if self.atoms.len() > MAX_ATOMS {
             return Err(SolverError::TooLarge);
         }
         // Collect difference edges `a - b <= c` and disequality pairs.
-        let mut nodes: Vec<Node> = vec![Node::Zero];
-        let node_of = |n: Node, nodes: &mut Vec<Node>| -> usize {
-            if let Some(i) = nodes.iter().position(|&m| m == n) {
-                i
-            } else {
-                nodes.push(n);
-                nodes.len() - 1
-            }
-        };
-        let mut edges: Vec<(usize, usize, i64)> = Vec::new(); // a - b <= c as edge b -> a with weight c
-        let mut diseqs: Vec<((Node, i64), (Node, i64))> = Vec::new();
-
-        for atom in &self.atoms {
+        self.nodes.clear();
+        self.nodes.push(Node::Zero);
+        self.edges.clear();
+        self.diseqs.clear();
+        for i in 0..self.atoms.len() {
+            let atom = self.atoms[i];
             let (a, ca) = norm(atom.lhs);
             let (b, cb) = norm(atom.rhs);
             if a == b {
@@ -265,12 +374,13 @@ impl ConstraintSet {
                 }
                 continue;
             }
-            let ai = node_of(a, &mut nodes);
-            let bi = node_of(b, &mut nodes);
+            let ai = self.node_of(a);
+            let bi = self.node_of(b);
             // value(a) + ca  op  value(b) + cb
             // i.e. a - b  op  cb - ca
             let d = cb.checked_sub(ca).ok_or(SolverError::Overflow)?;
             let neg_d = d.checked_neg().ok_or(SolverError::Overflow)?;
+            let edges = &mut self.edges;
             match atom.op {
                 CmpOp::Lt => edges.push((bi, ai, d.checked_sub(1).ok_or(SolverError::Overflow)?)),
                 CmpOp::Le => edges.push((bi, ai, d)),
@@ -282,16 +392,18 @@ impl ConstraintSet {
                     edges.push((bi, ai, d));
                     edges.push((ai, bi, neg_d));
                 }
-                CmpOp::Ne => diseqs.push(((a, ca), (b, cb))),
+                CmpOp::Ne => self.diseqs.push(((a, ca), (b, cb))),
             }
         }
 
         // Bellman-Ford negative cycle detection.
-        let n = nodes.len();
-        let mut dist = vec![0i64; n];
+        let n = self.nodes.len();
+        self.dist.clear();
+        self.dist.resize(n, 0);
+        let dist = &mut self.dist;
         for round in 0..n {
             let mut changed = false;
-            for &(from, to, w) in &edges {
+            for &(from, to, w) in &self.edges {
                 let cand = dist[from].saturating_add(w);
                 if cand < dist[to] {
                     dist[to] = cand;
@@ -306,81 +418,52 @@ impl ConstraintSet {
             }
         }
 
-        if diseqs.is_empty() {
+        if self.diseqs.is_empty() {
             return Ok(true);
         }
 
         // All-pairs shortest paths (Floyd-Warshall) to detect forced
         // equalities contradicting a disequality.
         const INF: i64 = i64::MAX / 4;
-        let mut d = vec![vec![INF; n]; n];
-        for (i, row) in d.iter_mut().enumerate() {
-            row[i] = 0;
+        let d = &mut self.apsp;
+        d.clear();
+        d.resize(n * n, INF);
+        for i in 0..n {
+            d[i * n + i] = 0;
         }
-        for &(from, to, w) in &edges {
+        for &(from, to, w) in &self.edges {
             // edge b -> a with weight c encodes a - b <= c; shortest path
             // d[b][a] bounds a - b.
-            if w < d[from][to] {
-                d[from][to] = w;
+            if w < d[from * n + to] {
+                d[from * n + to] = w;
             }
         }
         for k in 0..n {
             for i in 0..n {
-                if d[i][k] == INF {
+                if d[i * n + k] == INF {
                     continue;
                 }
                 for j in 0..n {
-                    let cand = d[i][k].saturating_add(d[k][j]);
-                    if cand < d[i][j] {
-                        d[i][j] = cand;
+                    let cand = d[i * n + k].saturating_add(d[k * n + j]);
+                    if cand < d[i * n + j] {
+                        d[i * n + j] = cand;
                     }
                 }
             }
         }
-        for ((a, ca), (b, cb)) in diseqs {
-            let ai = nodes.iter().position(|&m| m == a).expect("node interned");
-            let bi = nodes.iter().position(|&m| m == b).expect("node interned");
+        for &((a, ca), (b, cb)) in &self.diseqs {
+            let ai = self.nodes.iter().position(|&m| m == a).expect("node interned");
+            let bi = self.nodes.iter().position(|&m| m == b).expect("node interned");
             // lhs = rhs forced iff a - b forced to equal cb - ca:
             //   d[bi][ai] <= cb - ca  (a - b <= cb - ca)
             //   d[ai][bi] <= ca - cb  (b - a <= ca - cb)
             let delta = cb.checked_sub(ca).ok_or(SolverError::Overflow)?;
             let neg_delta = delta.checked_neg().ok_or(SolverError::Overflow)?;
-            if d[bi][ai] <= delta && d[ai][bi] <= neg_delta {
+            if d[bi * n + ai] <= delta && d[ai * n + bi] <= neg_delta {
                 return Ok(false);
             }
         }
         Ok(true)
-    }
-
-    /// True if this conjunction entails `atom` (refutation-sound: may
-    /// return false negatives, never false positives). Solver failure is
-    /// treated as non-entailment.
-    pub fn implies(&self, atom: &Atom) -> bool {
-        self.try_implies(atom).unwrap_or(false)
-    }
-
-    /// Entailment check reporting solver failures instead of panicking.
-    pub fn try_implies(&self, atom: &Atom) -> Result<bool, SolverError> {
-        if self.atoms.contains(atom) {
-            return Ok(true);
-        }
-        let mut with_neg = self.clone();
-        match atom.op {
-            // The negation of Eq is Ne, whose unsat check is incomplete, so
-            // entailment of Eq goes through both inequalities instead.
-            CmpOp::Eq => {
-                let le = Atom::new(CmpOp::Le, atom.lhs, atom.rhs);
-                let ge = Atom::new(CmpOp::Ge, atom.lhs, atom.rhs);
-                return Ok(self.try_implies(&le)? && self.try_implies(&ge)?);
-            }
-            _ => with_neg.add_atom(atom.negate()),
-        }
-        Ok(!with_neg.try_is_sat()?)
-    }
-
-    /// True if every atom of `other` is entailed by `self`.
-    pub fn entails_all(&self, other: &ConstraintSet) -> bool {
-        other.atoms.iter().all(|a| self.implies(a))
     }
 }
 

@@ -9,15 +9,17 @@
 //! memory constraints are discharged (the query becomes `any`) or it
 //! survives, satisfiable, to the program entry.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::time::Instant;
 
 use pta::{BitSet, HeapEdge, LocId, ModRef, PtaView};
-use tir::{Callee, CmdId, Command, MethodId, Operand, Program, Stmt, Ty, VarId};
+use tir::{Callee, CmdId, Command, FieldId, MethodId, Operand, Program, Stmt, Ty, VarId};
 
 use crate::config::{LoopMode, Representation, SymexConfig};
 use crate::key::{DerefSite, RefKey};
-use crate::query::{Query, Refuted};
+use crate::query::{Query, QueryScratch, Refuted};
 use crate::region::Region;
 use crate::simplify::History;
 use crate::stats::{SearchOutcome, SearchStats, StopReason, Witness};
@@ -31,9 +33,10 @@ pub(crate) enum Stop {
     Aborted(StopReason),
 }
 
-/// The result of pushing queries backwards: the surviving sub-queries, or an
-/// early stop.
-pub(crate) type Flow = Result<Vec<Query>, Stop>;
+/// The result of pushing queries backwards. The surviving sub-queries go
+/// into an output buffer the caller owns, so a transfer that yields one
+/// query allocates nothing; `Err` is an early stop.
+pub(crate) type Flow = Result<(), Stop>;
 
 /// Hard cap on upward caller-propagation depth; exceeding it aborts the
 /// search (sound: the edge is simply not refuted).
@@ -72,6 +75,31 @@ pub struct Engine<'a> {
     engine_deadline: Option<Instant>,
     /// Charge counter used to amortize deadline polls.
     ticks: u32,
+    /// Spare query buffers, reused across transfers (see
+    /// [`Engine::take_buf`]).
+    bufs: Vec<Vec<Query>>,
+    /// Reusable buffers for query simplification and entailment.
+    pub(crate) scratch: QueryScratch,
+    /// Reusable location sets for [`Engine::normalize_cells`].
+    pub(crate) allowed: BitSet,
+    pub(crate) owners: BitSet,
+    /// Memoized points-to facts.
+    memo: PtaMemo,
+}
+
+/// Points-to facts the search asks for again and again. Each is a pure
+/// function of the program and its points-to result, which are fixed for
+/// an engine's lifetime, so memoizing them cannot change an answer.
+#[derive(Default)]
+struct PtaMemo {
+    /// `pt(x)`, shared with the regions of the symbols bound to `x`.
+    pt_var: HashMap<VarId, Rc<BitSet>>,
+    /// `pt(x.f)`.
+    pt_var_field: HashMap<(VarId, FieldId), BitSet>,
+    /// Receiver locations dispatching a call to a target.
+    dispatch: HashMap<(CmdId, MethodId), BitSet>,
+    /// Statement-tree positions of commands in their method bodies.
+    paths: HashMap<CmdId, Rc<[usize]>>,
 }
 
 impl<'a> Engine<'a> {
@@ -98,7 +126,25 @@ impl<'a> Engine<'a> {
             deadline: None,
             engine_deadline,
             ticks: 0,
+            bufs: Vec::new(),
+            scratch: QueryScratch::default(),
+            allowed: BitSet::new(),
+            owners: BitSet::new(),
+            memo: PtaMemo::default(),
         }
+    }
+
+    /// An empty query buffer from the spare pool; hand it back with
+    /// [`Engine::put_buf`] once drained. Buffers dropped on an early stop
+    /// are simply not reused.
+    pub(crate) fn take_buf(&mut self) -> Vec<Query> {
+        self.bufs.pop().unwrap_or_default()
+    }
+
+    /// Returns a buffer to the spare pool.
+    pub(crate) fn put_buf(&mut self, mut buf: Vec<Query>) {
+        buf.clear();
+        self.bufs.push(buf);
     }
 
     /// The active configuration.
@@ -342,23 +388,42 @@ impl<'a> Engine<'a> {
         let _span = obs::span_with(obs::SpanKind::Path, || self.program.describe_cmd(start));
         self.charge(1)?;
         let method = self.program.cmd_method(start);
-        let path = self
-            .program
-            .method(method)
-            .body
-            .path_to(start)
-            .expect("command not found in its own method body");
+        let path = self.path_to(start);
         self.call_chain.clear();
         self.caller_depth = 0;
         // Borrow the body straight out of the shared program (lifetime 'a,
         // decoupled from `self`) instead of cloning the statement tree.
         let program = self.program;
         let body = &program.method(method).body;
-        let qs = self.back_pos(body, &path, q0, include_cmd)?;
-        for q in qs {
+        let mut qs = self.take_buf();
+        self.back_pos(body, &path, q0, include_cmd, &mut qs)?;
+        for q in qs.drain(..) {
             self.propagate_up(method, q)?;
         }
+        self.put_buf(qs);
         Ok(())
+    }
+
+    /// The position of `cmd` in its method's statement tree (memoized).
+    fn path_to(&mut self, cmd: CmdId) -> Rc<[usize]> {
+        let program = self.program;
+        let path = self.memo.paths.entry(cmd).or_insert_with(|| {
+            let body = &program.method(program.cmd_method(cmd)).body;
+            body.path_to(cmd).expect("command not found in its own method body").into()
+        });
+        Rc::clone(path)
+    }
+
+    /// `pt(var)` as a shared set (memoized).
+    fn pt_var_shared(&mut self, var: VarId) -> Rc<BitSet> {
+        let pta = self.pta;
+        Rc::clone(self.memo.pt_var.entry(var).or_insert_with(|| Rc::new(pta.pt_var(var).clone())))
+    }
+
+    /// `pt(var.field)` (memoized).
+    pub(crate) fn pt_var_field(&mut self, var: VarId, field: FieldId) -> &BitSet {
+        let pta = self.pta;
+        self.memo.pt_var_field.entry((var, field)).or_insert_with(|| pta.pt_var_field(var, field))
     }
 
     /// Charges `n` path programs against the budget.
@@ -401,137 +466,156 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Executes backwards from the position `path` inside `stmt` (the
-    /// command at that position is applied iff `include_cmd`), returning
-    /// the queries at the entry of `stmt`.
+    /// command at that position is applied iff `include_cmd`), pushing the
+    /// queries at the entry of `stmt` into `out`.
     pub(crate) fn back_pos(
         &mut self,
         stmt: &Stmt,
         path: &[usize],
         q: Query,
         include_cmd: bool,
+        out: &mut Vec<Query>,
     ) -> Flow {
         match stmt {
             Stmt::Cmd(c) => {
                 debug_assert!(path.is_empty());
                 if include_cmd {
-                    self.exec_cmd_back(*c, q)
-                } else {
-                    Ok(vec![q])
+                    return self.exec_cmd_back(*c, q, out);
                 }
+                out.push(q);
+                Ok(())
             }
-            Stmt::Skip => Ok(vec![q]),
+            Stmt::Skip => {
+                out.push(q);
+                Ok(())
+            }
             Stmt::Seq(ss) => {
                 let i = path[0];
-                let mut qs = self.back_pos(&ss[i], &path[1..], q, include_cmd)?;
-                for child in ss[..i].iter().rev() {
-                    qs = self.exec_many(child, qs)?;
-                }
-                Ok(qs)
+                let mut qs = self.take_buf();
+                self.back_pos(&ss[i], &path[1..], q, include_cmd, &mut qs)?;
+                self.exec_seq(ss[..i].iter().rev(), qs, out)
             }
             Stmt::If { cond, then_br, else_br } => {
                 let branch = path[0];
                 let child = if branch == 0 { then_br } else { else_br };
-                let qs = self.back_pos(child, &path[1..], q, include_cmd)?;
+                let mut qs = self.take_buf();
+                self.back_pos(child, &path[1..], q, include_cmd, &mut qs)?;
                 let guard = if branch == 0 { cond.clone() } else { cond.negate() };
-                let mut out = Vec::new();
-                for q in qs {
-                    match self.apply_cond(&guard, q) {
-                        Ok(Some(q2)) => out.push(q2),
-                        Ok(None) => {}
-                        Err(stop) => return Err(stop),
+                for q in qs.drain(..) {
+                    if let Some(q2) = self.apply_cond(&guard, q)? {
+                        out.push(q2);
                     }
                 }
-                Ok(out)
+                self.put_buf(qs);
+                Ok(())
             }
             Stmt::Choice(a, b) => {
                 let branch = path[0];
                 let child = if branch == 0 { a } else { b };
-                self.back_pos(child, &path[1..], q, include_cmd)
+                self.back_pos(child, &path[1..], q, include_cmd, out)
             }
             Stmt::While { cond, body } => {
                 // Starting inside the body: walk back to the body entry,
                 // then account for any number of preceding full iterations.
-                let seed = self.back_pos(body, &path[1..], q, include_cmd)?;
-                self.loop_fixpoint(Some(cond), body, seed)
+                let mut seed = self.take_buf();
+                self.back_pos(body, &path[1..], q, include_cmd, &mut seed)?;
+                self.loop_fixpoint(Some(cond), body, seed, out)
             }
             Stmt::Loop(body) => {
-                let seed = self.back_pos(body, &path[1..], q, include_cmd)?;
-                self.loop_fixpoint(None, body, seed)
+                let mut seed = self.take_buf();
+                self.back_pos(body, &path[1..], q, include_cmd, &mut seed)?;
+                self.loop_fixpoint(None, body, seed, out)
             }
         }
     }
 
-    /// Executes `stmt` backwards for every query in `qs`.
-    pub(crate) fn exec_many(&mut self, stmt: &Stmt, qs: Vec<Query>) -> Flow {
-        let mut out = Vec::new();
-        for q in qs {
-            out.extend(self.exec_stmt_back(stmt, q)?);
+    /// Executes `stmts` backwards in iteration order over the queries in
+    /// `qs`, stopping early once every query is refuted, and pushes the
+    /// survivors into `out`.
+    fn exec_seq<'s>(
+        &mut self,
+        stmts: impl Iterator<Item = &'s Stmt>,
+        mut qs: Vec<Query>,
+        out: &mut Vec<Query>,
+    ) -> Flow {
+        let mut next = self.take_buf();
+        for stmt in stmts {
+            if qs.is_empty() {
+                break;
+            }
+            for q in qs.drain(..) {
+                self.exec_stmt_back(stmt, q, &mut next)?;
+            }
+            std::mem::swap(&mut qs, &mut next);
         }
-        Ok(out)
+        out.append(&mut qs);
+        self.put_buf(qs);
+        self.put_buf(next);
+        Ok(())
     }
 
     /// Executes one whole statement backwards: given the post-query `q`,
-    /// returns the surviving pre-queries.
-    pub(crate) fn exec_stmt_back(&mut self, stmt: &Stmt, q: Query) -> Flow {
+    /// pushes the surviving pre-queries into `out`.
+    pub(crate) fn exec_stmt_back(&mut self, stmt: &Stmt, q: Query, out: &mut Vec<Query>) -> Flow {
         match stmt {
-            Stmt::Skip => Ok(vec![q]),
-            Stmt::Cmd(c) => self.exec_cmd_back(*c, q),
+            Stmt::Skip => {
+                out.push(q);
+                Ok(())
+            }
+            Stmt::Cmd(c) => self.exec_cmd_back(*c, q, out),
             Stmt::Seq(ss) => {
-                let mut qs = vec![q];
-                for child in ss.iter().rev() {
-                    qs = self.exec_many(child, qs)?;
-                    if qs.is_empty() {
-                        break;
-                    }
-                }
-                Ok(qs)
+                let mut qs = self.take_buf();
+                qs.push(q);
+                self.exec_seq(ss.iter().rev(), qs, out)
             }
             Stmt::If { cond, then_br, else_br } => {
                 self.charge(1)?; // the extra branch is a fork
-                let then_qs = self.exec_stmt_back(then_br, q.clone())?;
-                let else_qs = self.exec_stmt_back(else_br, q.clone())?;
+                let mut then_qs = self.take_buf();
+                self.exec_stmt_back(then_br, q.clone(), &mut then_qs)?;
+                let then_untouched = then_qs.len() == 1 && then_qs[0].same_constraints(&q);
+                let mut else_qs = self.take_buf();
+                self.exec_stmt_back(else_br, q, &mut else_qs)?;
                 // If neither branch touched the query, the guard is
                 // irrelevant path-sensitivity: keep one copy, no constraint
-                // (§3.2, following ESP/PSE).
-                let untouched = |qs: &[Query]| qs.len() == 1 && qs[0].same_constraints(&q);
-                if untouched(&then_qs) && untouched(&else_qs) {
-                    return Ok(then_qs);
-                }
-                let mut out = Vec::new();
-                for tq in then_qs {
-                    match self.apply_cond(cond, tq) {
-                        Ok(Some(q2)) => out.push(q2),
-                        Ok(None) => {}
-                        Err(stop) => return Err(stop),
+                // (§3.2, following ESP/PSE). The else branch is compared
+                // with the then branch, which equals the original query.
+                if then_untouched && else_qs.len() == 1 && else_qs[0].same_constraints(&then_qs[0])
+                {
+                    out.append(&mut then_qs);
+                } else {
+                    for tq in then_qs.drain(..) {
+                        if let Some(q2) = self.apply_cond(cond, tq)? {
+                            out.push(q2);
+                        }
+                    }
+                    let neg = cond.negate();
+                    for eq in else_qs.drain(..) {
+                        if let Some(q2) = self.apply_cond(&neg, eq)? {
+                            out.push(q2);
+                        }
                     }
                 }
-                let neg = cond.negate();
-                for eq in else_qs {
-                    match self.apply_cond(&neg, eq) {
-                        Ok(Some(q2)) => out.push(q2),
-                        Ok(None) => {}
-                        Err(stop) => return Err(stop),
-                    }
-                }
-                Ok(out)
+                self.put_buf(then_qs);
+                self.put_buf(else_qs);
+                Ok(())
             }
             Stmt::Choice(a, b) => {
                 self.charge(1)?;
-                let mut out = self.exec_stmt_back(a, q.clone())?;
-                out.extend(self.exec_stmt_back(b, q)?);
-                Ok(out)
+                self.exec_stmt_back(a, q.clone(), out)?;
+                self.exec_stmt_back(b, q, out)
             }
             Stmt::While { cond, body } => {
                 // Zero or more iterations; after the loop ¬cond holds.
-                let mut seed = Vec::new();
-                match self.apply_cond(&cond.negate(), q) {
-                    Ok(Some(q2)) => seed.push(q2),
-                    Ok(None) => return Ok(Vec::new()),
-                    Err(stop) => return Err(stop),
-                }
-                self.loop_fixpoint(Some(cond), body, seed)
+                let Some(q2) = self.apply_cond(&cond.negate(), q)? else { return Ok(()) };
+                let mut seed = self.take_buf();
+                seed.push(q2);
+                self.loop_fixpoint(Some(cond), body, seed, out)
             }
-            Stmt::Loop(body) => self.loop_fixpoint(None, body, vec![q]),
+            Stmt::Loop(body) => {
+                let mut seed = self.take_buf();
+                seed.push(q);
+                self.loop_fixpoint(None, body, seed, out)
+            }
         }
     }
 
@@ -540,7 +624,12 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Backwards transfer for a call command.
-    pub(crate) fn exec_call_back(&mut self, cmd_id: CmdId, q: Query) -> Flow {
+    pub(crate) fn exec_call_back(
+        &mut self,
+        cmd_id: CmdId,
+        mut q: Query,
+        out: &mut Vec<Query>,
+    ) -> Flow {
         let Command::Call { dst, callee: _, .. } = self.program.cmd(cmd_id) else {
             unreachable!("exec_call_back on non-call");
         };
@@ -552,14 +641,15 @@ impl<'a> Engine<'a> {
         // that writes `contents` of map arrays cannot affect a query cell
         // over a vec array, even though the field matches.
         let dst_relevant = dst.map(|d| q.locals.contains_key(&d)).unwrap_or(false);
-        let globals = q.global_footprint();
         let mods_relevant = targets.iter().any(|&t| {
-            !self.modref.mod_globals(t).is_disjoint(&globals)
+            let mod_globals = self.modref.mod_globals(t);
+            q.statics.keys().any(|g| mod_globals.contains(g.index()))
                 || q.heap.iter().any(|cell| self.cell_may_be_written(t, cell, &q))
         });
         if !dst_relevant && !mods_relevant {
             self.stats.add_call_skipped_irrelevant();
-            return Ok(vec![q]);
+            out.push(q);
+            return Ok(());
         }
 
         // Depth bound / recursion / unresolved targets: skip soundly by
@@ -568,31 +658,33 @@ impl<'a> Engine<'a> {
         let recursive = targets.iter().any(|t| self.call_chain.contains(t));
         if too_deep || recursive || targets.is_empty() {
             self.stats.add_call_skipped_depth();
-            return Ok(vec![self.skip_call(cmd_id, targets, q)]);
+            out.push(self.skip_call(cmd_id, targets, q));
+            return Ok(());
         }
 
         if targets.len() > 1 {
             self.charge(targets.len() as u64 - 1)?;
         }
-        let mut out = Vec::new();
-        for &t in targets {
-            let mut qt = q.clone();
+        let representation = self.config.representation;
+        let mut entry_qs = self.take_buf();
+        for (k, &t) in targets.iter().enumerate() {
+            // The last target takes the query itself instead of a copy.
+            let mut qt = if k + 1 == targets.len() { std::mem::take(&mut q) } else { q.clone() };
             // Receiver narrowing: only locations that dispatch to `t` are
             // compatible with taking this target.
             if let Some(recv_var) = self.call_receiver(cmd_id) {
                 if let Some(&Val::Sym(s)) = qt.locals.get(&recv_var) {
                     let dl = self.dispatch_locs(cmd_id, t);
-                    if self.config.representation != Representation::FullySymbolic {
-                        match qt.narrow(s, &dl) {
-                            Ok(()) => {}
-                            Err(r) => {
-                                self.stats.count_refutation(r);
-                                continue;
-                            }
-                        }
-                    } else if qt.region(s).as_locs().map(|l| l.is_disjoint(&dl)).unwrap_or(true) {
+                    let narrowed = if representation != Representation::FullySymbolic {
+                        qt.narrow(s, dl)
+                    } else if qt.region(s).as_locs().map(|l| l.is_disjoint(dl)).unwrap_or(true) {
                         // PSE-style oracle check without narrowing.
-                        self.stats.count_refutation(Refuted::EmptyRegion);
+                        Err(Refuted::EmptyRegion)
+                    } else {
+                        Ok(())
+                    };
+                    if let Err(r) = narrowed {
+                        self.stats.count_refutation(r);
                         continue;
                     }
                 } else if let Some(&Val::Null) = qt.locals.get(&recv_var) {
@@ -605,27 +697,26 @@ impl<'a> Engine<'a> {
             // return.
             debug_assert!(qt.ret_slot.is_none());
             if let Some(d) = dst {
-                qt.ret_slot = q.locals.get(d).copied();
-                qt.locals.remove(d);
+                qt.ret_slot = qt.locals.remove(d);
             }
             self.call_chain.push(t);
             let program = self.program;
             let body = &program.method(t).body;
-            let entry_qs = self.exec_stmt_back(body, qt);
+            let entered = self.exec_stmt_back(body, qt, &mut entry_qs);
             self.call_chain.pop();
-            for mut qe in entry_qs? {
+            entered?;
+            for mut qe in entry_qs.drain(..) {
                 // A pending return that was never consumed means the callee
                 // cannot produce the required value along this path — but
                 // dropping the constraint is the sound over-approximation.
                 qe.ret_slot = None;
-                match self.bind_params(cmd_id, t, qe) {
-                    Ok(Some(q2)) => out.push(q2),
-                    Ok(None) => {}
-                    Err(stop) => return Err(stop),
+                if let Some(q2) = self.bind_params(cmd_id, t, qe)? {
+                    out.push(q2);
                 }
             }
         }
-        Ok(out)
+        self.put_buf(entry_qs);
+        Ok(())
     }
 
     /// The receiver variable of a call, if it is an instance-method call.
@@ -646,33 +737,34 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Receiver locations (among `pt(receiver)`) that dispatch to `target`.
-    fn dispatch_locs(&self, cmd_id: CmdId, target: MethodId) -> BitSet {
-        let Command::Call { callee, .. } = self.program.cmd(cmd_id) else {
-            unreachable!();
-        };
+    /// Receiver locations (among `pt(receiver)`) that dispatch to `target`
+    /// (memoized).
+    fn dispatch_locs(&mut self, cmd_id: CmdId, target: MethodId) -> &BitSet {
         let recv = self.call_receiver(cmd_id);
-        let recv_pt = match recv {
-            Some(r) => self.pta.pt_var(r).clone(),
-            None => return BitSet::new(),
-        };
-        let mut out = BitSet::new();
-        for l in recv_pt.iter() {
-            let class = self.pta.class_of(LocId(l as u32));
-            let ok = match callee {
-                Callee::Virtual { method, .. } => {
-                    self.program.resolve_method(class, method) == Some(target)
-                }
-                Callee::Static { method } => {
-                    let tc = self.program.method(*method).class.expect("instance method");
-                    self.program.is_subclass(class, tc)
-                }
+        let (program, pta) = (self.program, self.pta);
+        self.memo.dispatch.entry((cmd_id, target)).or_insert_with(|| {
+            let Command::Call { callee, .. } = program.cmd(cmd_id) else {
+                unreachable!();
             };
-            if ok {
-                out.insert(l);
+            let Some(recv) = recv else { return BitSet::new() };
+            let mut out = BitSet::new();
+            for l in pta.pt_var(recv).iter() {
+                let class = pta.class_of(LocId(l as u32));
+                let ok = match callee {
+                    Callee::Virtual { method, .. } => {
+                        program.resolve_method(class, method) == Some(target)
+                    }
+                    Callee::Static { method } => {
+                        let tc = program.method(*method).class.expect("instance method");
+                        program.is_subclass(class, tc)
+                    }
+                };
+                if ok {
+                    out.insert(l);
+                }
             }
-        }
-        out
+            out
+        })
     }
 
     /// True if method `t` may write the concrete cell described by `cell`
@@ -682,7 +774,7 @@ impl<'a> Engine<'a> {
         match q.region(cell.obj).as_locs() {
             Some(locs) => self.modref.may_write_cell(t, cell.field, locs),
             // Data-region owner cannot occur; be conservative.
-            None => !self.modref.mod_fields(t).is_disjoint(&BitSet::singleton(cell.field.index())),
+            None => self.modref.mod_fields(t).contains(cell.field.index()),
         }
     }
 
@@ -693,26 +785,24 @@ impl<'a> Engine<'a> {
         if let Some(d) = dst {
             q.locals.remove(d);
         }
-        let mut mod_globals = BitSet::new();
-        for &t in targets {
-            mod_globals.union_with(self.modref.mod_globals(t));
-        }
         if targets.is_empty() {
             // No resolved targets (should not happen for reached code):
             // drop everything heap-related to stay sound.
             q.heap.clear();
             q.statics.clear();
         } else {
-            let cells: Vec<crate::query::HeapCell> = q.heap.clone();
-            let keep: Vec<bool> = cells
-                .iter()
-                .map(|cell| !targets.iter().any(|&t| self.cell_may_be_written(t, cell, &q)))
-                .collect();
-            let mut it = keep.iter();
-            q.heap.retain(|_| *it.next().expect("keep flag"));
-            q.statics.retain(|g, _| !mod_globals.contains(g.index()));
+            // Whether a cell may be written depends on regions only, so
+            // removing from the back keeps every other decision unchanged.
+            for i in (0..q.heap.len()).rev() {
+                if targets.iter().any(|&t| self.cell_may_be_written(t, &q.heap[i], &q)) {
+                    q.heap.remove(i);
+                }
+            }
+            let modref = self.modref;
+            q.statics
+                .retain(|g, _| !targets.iter().any(|&t| modref.mod_globals(t).contains(g.index())));
         }
-        q.gc();
+        q.gc(&mut self.scratch);
         q
     }
 
@@ -736,26 +826,14 @@ impl<'a> Engine<'a> {
         q.record(cmd_id, self.config.trace_cap);
         let callee_m = program.method(callee);
         let is_instance = callee_m.class.is_some();
-        // Assemble (param, actual) pairs including the receiver.
-        let mut pairs: Vec<(VarId, Operand)> = Vec::new();
-        match (ckind, is_instance) {
+        // (param, actual) pairs including the receiver.
+        let (receiver, params) = match (ckind, is_instance) {
             (Callee::Virtual { receiver, .. }, true) => {
-                pairs.push((callee_m.params[0], Operand::Var(*receiver)));
-                for (p, a) in callee_m.params[1..].iter().zip(args.iter()) {
-                    pairs.push((*p, *a));
-                }
+                (Some((callee_m.params[0], Operand::Var(*receiver))), &callee_m.params[1..])
             }
-            (Callee::Static { .. }, true) => {
-                for (p, a) in callee_m.params.iter().zip(args.iter()) {
-                    pairs.push((*p, *a));
-                }
-            }
-            (_, false) => {
-                for (p, a) in callee_m.params.iter().zip(args.iter()) {
-                    pairs.push((*p, *a));
-                }
-            }
-        }
+            _ => (None, &callee_m.params[..]),
+        };
+        let pairs = receiver.into_iter().chain(params.iter().copied().zip(args.iter().copied()));
         for (param, actual) in pairs {
             let Some(v) = q.locals.remove(&param) else { continue };
             let res = self.bind_value_to_operand(&mut q, v, actual);
@@ -780,7 +858,7 @@ impl<'a> Engine<'a> {
             if let Some(&Val::Sym(s)) = q.locals.get(receiver) {
                 if self.config.representation != Representation::FullySymbolic {
                     let dl = self.dispatch_locs(cmd_id, callee);
-                    if let Err(r) = q.narrow(s, &dl) {
+                    if let Err(r) = q.narrow(s, dl) {
                         self.stats.count_refutation(r);
                         return Ok(None);
                     }
@@ -829,12 +907,11 @@ impl<'a> Engine<'a> {
         let v = match self.program.var(var).ty {
             Ty::Int => Val::Sym(q.fresh_sym(Region::Data)),
             Ty::Ref(_) => {
-                let pt = self.pta.pt_var(var);
-                if pt.is_empty() {
+                if self.pta.pt_var(var).is_empty() {
                     // The variable can never hold an instance.
                     return Err(Refuted::EmptyRegion);
                 }
-                Val::Sym(q.fresh_sym(Region::locs(pt.clone())))
+                Val::Sym(q.fresh_sym(Region::Locs(self.pt_var_shared(var))))
             }
         };
         q.locals.insert(var, v);
@@ -854,11 +931,12 @@ impl<'a> Engine<'a> {
             self.stats.count_refutation(r);
             return Ok(());
         }
-        q.gc();
+        q.gc(&mut self.scratch);
         // Query-history subsumption at the procedure boundary (§3.3).
         if self.config.simplification {
             let strict = self.config.representation == Representation::FullySymbolic;
-            if self.history.subsumes_at(crate::simplify::Point::MethodEntry(method), &q, strict) {
+            let point = crate::simplify::Point::MethodEntry(method);
+            if self.history.subsumes_at(point, &q, strict, &mut self.scratch) {
                 self.stats.add_subsumed();
                 return Ok(());
             }
@@ -888,37 +966,32 @@ impl<'a> Engine<'a> {
         if callers.len() > 1 {
             self.charge(callers.len() as u64 - 1)?;
         }
-        for &c in callers {
+        // Upward propagation starts outside every callee: the downward
+        // call chain (recursion and depth checks) is empty here.
+        debug_assert!(self.call_chain.is_empty());
+        for (k, &c) in callers.iter().enumerate() {
             let caller_m = self.program.cmd_method(c);
-            let Some(q2) = self.bind_params(c, method, q.clone())? else { continue };
+            // The last caller takes the query itself instead of a copy.
+            let qc = if k + 1 == callers.len() { std::mem::take(&mut q) } else { q.clone() };
+            let Some(q2) = self.bind_params(c, method, qc)? else { continue };
             let program = self.program;
             let body = &program.method(caller_m).body;
-            let path = body.path_to(c).expect("call site in caller body");
+            let path = self.path_to(c);
             self.caller_depth += 1;
-            let saved_chain = std::mem::take(&mut self.call_chain);
-            let qs = self.back_pos(body, &path, q2, false);
-            self.call_chain = saved_chain;
-            let qs = match qs {
-                Ok(qs) => qs,
-                Err(stop) => {
-                    self.caller_depth -= 1;
-                    return Err(stop);
-                }
-            };
-            for q3 in qs {
-                if let Err(stop) = self.propagate_up(caller_m, q3) {
-                    self.caller_depth -= 1;
-                    return Err(stop);
-                }
-            }
+            let mut qs = self.take_buf();
+            let walked = self.back_pos(body, &path, q2, false, &mut qs);
+            let propagated = walked
+                .and_then(|()| qs.drain(..).try_for_each(|q3| self.propagate_up(caller_m, q3)));
             self.caller_depth -= 1;
+            propagated?;
+            self.put_buf(qs);
         }
         Ok(())
     }
 
     /// Builds a witness record from a discharged or entry-satisfiable query.
     pub(crate) fn make_witness(&self, q: &Query) -> Witness {
-        Witness { trace: q.trace.clone(), final_query: q.describe(self.program) }
+        Witness { trace: q.trace(), final_query: q.describe(self.program) }
     }
 }
 

@@ -66,6 +66,7 @@ mod simplify;
 mod stats;
 mod transfer;
 mod value;
+mod vecmap;
 
 pub use config::{LoopMode, Representation, SymexConfig};
 pub use engine::{EdgeDecision, Engine};

@@ -22,79 +22,87 @@
 //! [`SymexConfig::materialization_bound`]: crate::SymexConfig::materialization_bound
 //! [`SymexConfig::loop_iter_cap`]: crate::SymexConfig::loop_iter_cap
 
-use std::collections::HashMap;
-
 use pta::BitSet;
 use tir::{Cond, FieldId, Stmt};
 
 use crate::config::{LoopMode, Representation};
 use crate::engine::{Engine, Flow};
-use crate::query::Query;
+use crate::query::{Query, QueryScratch};
+use crate::simplify::SubKey;
 
 impl Engine<'_> {
     /// Computes the loop-head query set for a loop with optional guard
     /// `cond` and body `body`, seeded by `seed` (queries already at the
-    /// loop head). Returns the queries that flow out of the loop backwards
-    /// (to the program point before the loop).
+    /// loop head, drained from a pooled buffer). Pushes the queries that
+    /// flow out of the loop backwards (to the program point before the
+    /// loop) into `out`.
     pub(crate) fn loop_fixpoint(
         &mut self,
         cond: Option<&Cond>,
         body: &Stmt,
-        seed: Vec<Query>,
+        mut seed: Vec<Query>,
+        out: &mut Vec<Query>,
     ) -> Flow {
         if seed.is_empty() {
-            return Ok(Vec::new());
+            self.put_buf(seed);
+            return Ok(());
         }
         self.stats.add_loop_fixpoint();
         let _span = obs::span_with(obs::SpanKind::LoopFixpoint, || format!("seed={}", seed.len()));
         if self.config.loop_mode == LoopMode::DropAll {
-            let mut out = Vec::new();
-            for q in seed {
+            for q in seed.drain(..) {
                 out.push(self.drop_loop_affected(body, q));
             }
-            return Ok(out);
+            self.put_buf(seed);
+            return Ok(());
         }
 
-        // Per-field materialization budget relative to the seed.
-        let mut cell_cap: HashMap<FieldId, usize> = HashMap::new();
+        // Per-field materialization budget relative to the seed: the most
+        // cells any seed query has of that field.
+        let mut cell_cap: Vec<(FieldId, usize)> = Vec::new();
         for q in &seed {
-            let mut counts: HashMap<FieldId, usize> = HashMap::new();
             for c in &q.heap {
-                *counts.entry(c.field).or_insert(0) += 1;
-            }
-            for (f, n) in counts {
-                let e = cell_cap.entry(f).or_insert(0);
-                *e = (*e).max(n);
+                let n = q.heap.iter().filter(|d| d.field == c.field).count();
+                match cell_cap.iter_mut().find(|(f, _)| *f == c.field) {
+                    Some((_, m)) => *m = (*m).max(n),
+                    None => cell_cap.push((c.field, n)),
+                }
             }
         }
         let bound = self.config.materialization_bound;
         let strict = self.config.representation == Representation::FullySymbolic;
 
-        let mut set: Vec<Query> = Vec::new();
+        // Each member is kept with its subsumption key: `SubKey` inclusion
+        // is necessary for entailment, so it screens out most `entails`
+        // calls without changing any answer.
+        let mut set: Vec<(SubKey, Query)> = Vec::new();
         let mut work: Vec<(Query, usize)> = Vec::new();
-        let mut marks: Vec<u32> = Vec::new();
-        for mut q in seed {
+        let mut mark: Option<u32> = None;
+        for mut q in seed.drain(..) {
             if let Err(r) = self.normalize_cells(&mut q) {
                 self.stats.count_refutation(r);
                 continue;
             }
-            q.gc();
-            if !subsumed_by(&set, &q, strict) {
-                marks.push(q.sym_mark());
-                set.push(q.clone());
+            q.gc(&mut self.scratch);
+            let key = SubKey::of(&q);
+            if !subsumed_by(&set, key, &q, strict, &mut self.scratch) {
+                mark = Some(mark.map_or(q.sym_mark(), |m| m.min(q.sym_mark())));
+                set.push((key, q.clone()));
                 work.push((q, 0));
             }
         }
+        self.put_buf(seed);
         // Widening discards constraints over values first materialized
         // inside the loop analysis; constraints over loop-invariant values
         // survive (the paper drops only "pure constraints that may be
         // modified by the loop").
-        let mark = marks.iter().copied().min().unwrap_or(0);
+        let mark = mark.unwrap_or(0);
         let cap = self.config.loop_iter_cap;
+        let mut stepped = self.take_buf();
         while let Some((q, round)) = work.pop() {
             // One more backwards pass over (assume cond; body).
-            let stepped = self.exec_stmt_back(body, q)?;
-            for mut q2 in stepped {
+            self.exec_stmt_back(body, q, &mut stepped)?;
+            for mut q2 in stepped.drain(..) {
                 if let Some(c) = cond {
                     match self.apply_cond(c, q2)? {
                         Some(next) => q2 = next,
@@ -102,7 +110,7 @@ impl Engine<'_> {
                     }
                 }
                 // Materialization bound: trim per-field cell growth.
-                self.enforce_cell_cap(&mut q2, &cell_cap, bound);
+                enforce_cell_cap(&mut q2, &cell_cap, bound);
                 // Widening: past the iteration cap, drop loop-derived pure
                 // constraints.
                 if round + 1 >= cap {
@@ -114,57 +122,26 @@ impl Engine<'_> {
                     obs::add(obs::Counter::LoopDropAllFallbacks, 1);
                     q2 = self.drop_loop_affected(body, q2);
                 }
-                q2.gc();
-                if !subsumed_by(&set, &q2, strict) {
+                q2.gc(&mut self.scratch);
+                let key = SubKey::of(&q2);
+                if !subsumed_by(&set, key, &q2, strict, &mut self.scratch) {
                     if self.config.simplification {
                         // With simplification the set is kept minimal:
                         // remove entries stronger than the newcomer.
-                        set.retain(|old| !old.entails(&q2, strict));
+                        let scratch = &mut self.scratch;
+                        set.retain(|(old_key, old)| {
+                            !(key.subset_of(old_key) && old.entails(&q2, strict, scratch))
+                        });
                     }
                     self.charge(1)?;
-                    set.push(q2.clone());
+                    set.push((key, q2.clone()));
                     work.push((q2, round + 1));
                 }
             }
         }
-        Ok(set)
-    }
-
-    /// Trims heap cells of `q` so no field exceeds its seed count plus the
-    /// materialization bound. Newest cells (appended last) are dropped
-    /// first — a sound weakening.
-    fn enforce_cell_cap(
-        &mut self,
-        q: &mut Query,
-        cell_cap: &HashMap<FieldId, usize>,
-        bound: usize,
-    ) {
-        let mut counts: HashMap<FieldId, usize> = HashMap::new();
-        for c in &q.heap {
-            *counts.entry(c.field).or_insert(0) += 1;
-        }
-        let mut excess: HashMap<FieldId, usize> = HashMap::new();
-        for (f, n) in counts {
-            let cap = cell_cap.get(&f).copied().unwrap_or(0) + bound;
-            if n > cap {
-                excess.insert(f, n - cap);
-            }
-        }
-        if excess.is_empty() {
-            return;
-        }
-        // Drop from the back (most recently materialized).
-        let mut i = q.heap.len();
-        while i > 0 {
-            i -= 1;
-            let f = q.heap[i].field;
-            if let Some(e) = excess.get_mut(&f) {
-                if *e > 0 {
-                    q.heap.remove(i);
-                    *e -= 1;
-                }
-            }
-        }
+        self.put_buf(stepped);
+        out.extend(set.into_iter().map(|(_, q)| q));
+        Ok(())
     }
 
     /// The drop-all weakening (hypothesis-3 ablation, also the widening
@@ -206,15 +183,39 @@ impl Engine<'_> {
         q.heap.retain(|c| !mod_fields.contains(c.field.index()));
         q.statics.retain(|g, _| !mod_globals.contains(g.index()));
         q.path = Default::default();
-        q.gc();
+        q.gc(&mut self.scratch);
         q
     }
 }
 
-/// True if `q` is entailed-covered by a member of `set`: there is a weaker
-/// query already scheduled, so refuting it refutes `q` too.
-fn subsumed_by(set: &[Query], q: &Query, strict: bool) -> bool {
-    set.iter().any(|old| q.entails(old, strict))
+/// Trims heap cells of `q` so no field exceeds its seed count
+/// (`cell_cap`) plus the materialization bound. Newest cells (appended
+/// last) are dropped first — a sound weakening.
+fn enforce_cell_cap(q: &mut Query, cell_cap: &[(FieldId, usize)], bound: usize) {
+    // Walking from the back and dropping a cell while its field is still
+    // over the cap removes exactly the newest excess cells of each field.
+    let mut i = q.heap.len();
+    while i > 0 {
+        i -= 1;
+        let f = q.heap[i].field;
+        let cap = cell_cap.iter().find(|(g, _)| *g == f).map_or(0, |&(_, n)| n) + bound;
+        if q.heap.iter().filter(|c| c.field == f).count() > cap {
+            q.heap.remove(i);
+        }
+    }
+}
+
+/// True if `q` (with subsumption key `key`) is entailed-covered by a member
+/// of `set`: there is a weaker query already scheduled, so refuting it
+/// refutes `q` too.
+fn subsumed_by(
+    set: &[(SubKey, Query)],
+    key: SubKey,
+    q: &Query,
+    strict: bool,
+    scratch: &mut QueryScratch,
+) -> bool {
+    set.iter().any(|(old_key, old)| old_key.subset_of(&key) && q.entails(old, strict, scratch))
 }
 
 #[cfg(test)]
@@ -337,14 +338,15 @@ mod tests {
         let main = lp.program.method(lp.program.entry());
         let (cond, body) = find_while(&main.body).expect("main has a while loop");
         let seed = seed_query(&lp, &pta);
-        let out = engine
-            .loop_fixpoint(Some(cond), body, vec![seed.clone()])
+        let mut out = Vec::new();
+        engine
+            .loop_fixpoint(Some(cond), body, vec![seed.clone()], &mut out)
             .expect("fixpoint terminates within the default budget");
         assert!(!out.is_empty(), "the saturated set lost the seed");
         // Soundness shape of the fixed point: some member is weaker than
         // (entailed by) the seed, so refuting the set refutes the seed.
         assert!(
-            out.iter().any(|w| seed.entails(w, false)),
+            out.iter().any(|w| seed.entails(w, false, &mut QueryScratch::default())),
             "no member of the fixed point covers the seed query"
         );
     }
@@ -384,7 +386,8 @@ mod tests {
         let main = lp.program.method(lp.program.entry());
         let (cond, body) = find_while(&main.body).expect("main has a while loop");
         let seed = seed_query(&lp, &pta);
-        let out = engine.loop_fixpoint(Some(cond), body, vec![seed]).expect("no fixpoint needed");
+        let mut out = Vec::new();
+        engine.loop_fixpoint(Some(cond), body, vec![seed], &mut out).expect("no fixpoint needed");
         assert_eq!(out.len(), 1, "drop-all maps each seed to exactly one weakening");
         assert!(out[0].heap.iter().all(|c| c.field != lp.val_f));
         assert!(out[0].path.is_empty());
@@ -394,8 +397,6 @@ mod tests {
     fn materialization_bound_one_trims_newest_cells_only() {
         let lp = loop_program();
         let pta = pta::analyze(&lp.program, ContextPolicy::Insensitive);
-        let modref = ModRef::compute(&lp.program, &pta);
-        let mut engine = Engine::new(&lp.program, &pta, &modref, SymexConfig::default());
         let n_loc = loc_of(&pta, lp.n0).index();
         let o_loc = loc_of(&pta, lp.o0).index();
 
@@ -414,8 +415,7 @@ mod tests {
 
         // Seed had one `val` cell; with the paper's bound of 1 the loop may
         // materialize at most one more. The two *newest* cells go.
-        let cell_cap = HashMap::from([(lp.val_f, 1)]);
-        engine.enforce_cell_cap(&mut q, &cell_cap, 1);
+        enforce_cell_cap(&mut q, &[(lp.val_f, 1)], 1);
         let val_cells: Vec<_> = q.heap.iter().filter(|c| c.field == lp.val_f).collect();
         assert_eq!(val_cells.len(), 2, "bound 1 allows seed + 1 materialized cell");
         assert_eq!(val_cells[0].obj, owners[0], "oldest cell must survive");

@@ -831,8 +831,8 @@ impl<'a> RefutationScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pta::PtaResult;
     use pta::ContextPolicy;
+    use pta::PtaResult;
 
     fn setup(src: &str) -> (Program, PtaResult, ModRef) {
         let p = tir::parse(src).expect("parse");
@@ -1121,8 +1121,7 @@ entry main;
             engine.refute_deref(&site).is_witnessed(),
             "without guard tracking the heap-routed null survives"
         );
-        let mut engine =
-            Engine::new(&p, &r, &m, SymexConfig::default().with_null_guards(true));
+        let mut engine = Engine::new(&p, &r, &m, SymexConfig::default().with_null_guards(true));
         assert!(
             engine.refute_deref(&site).is_refuted(),
             "guard tracking refutes the heap-routed null flow"

@@ -1,4 +1,4 @@
-//! Persistent cross-run refutation cache (`thresher.cache/1`).
+//! Persistent cross-run refutation cache (`thresher.cache/2`).
 //!
 //! Edge decisions are pure functions of the program slice they examine,
 //! so they survive across processes: every decision the coordinator
@@ -16,7 +16,7 @@
 //! # Store format
 //!
 //! One JSONL file (`decisions.jsonl`) per cache directory. The first
-//! line is a header `{"schema":"thresher.cache/1"}`; every other line is
+//! line is a header `{"schema":"thresher.cache/2"}`; every other line is
 //! one decision record serialized with [`obs::json`]. Corruption
 //! degrades, never propagates: an unparseable or unresolvable line is
 //! skipped (counted under [`obs::Counter::CacheSkippedCorrupt`]), a
@@ -42,7 +42,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use obs::json::Value;
-use obs::{Counter, Hist, MetricsDelta};
+use obs::{Counter, Hist, HistSnapshot, MetricsDelta};
 use pta::{HeapEdge, LocId, PtaResult};
 use tir::{CmdId, MethodId, Program};
 
@@ -52,7 +52,7 @@ use crate::stats::{RefutationCounts, SearchOutcome, SearchStats, StopReason, Wit
 use crate::SymexConfig;
 
 /// The store schema identifier; a mismatch discards the whole file.
-pub const CACHE_SCHEMA: &str = "thresher.cache/1";
+pub const CACHE_SCHEMA: &str = "thresher.cache/2";
 
 /// File name of the decision store inside a cache directory.
 pub const CACHE_FILE: &str = "decisions.jsonl";
@@ -999,14 +999,30 @@ fn serialize_delta(d: &MetricsDelta) -> Value {
         .filter(|&&c| d.counter(c) > 0)
         .map(|&c| Value::Arr(vec![Value::str(c.name()), Value::uint(d.counter(c))]))
         .collect();
-    let observations = d
-        .observations()
+    // One aggregate per observed histogram: [name, count, sum, max,
+    // [[bucket lower bound, n], ...]].
+    let hists = Hist::ALL
         .iter()
-        .map(|&(h, v)| Value::Arr(vec![Value::str(h.name()), Value::uint(v)]))
+        .map(|&h| (h, d.histogram(h)))
+        .filter(|(_, snap)| snap.count > 0)
+        .map(|(h, snap)| {
+            let buckets = snap
+                .buckets
+                .iter()
+                .map(|&(lb, n)| Value::Arr(vec![Value::uint(lb), Value::uint(n)]))
+                .collect();
+            Value::Arr(vec![
+                Value::str(h.name()),
+                Value::uint(snap.count),
+                Value::uint(snap.sum),
+                Value::uint(snap.max),
+                Value::Arr(buckets),
+            ])
+        })
         .collect();
     Value::Obj(vec![
         ("counters".to_owned(), Value::Arr(counters)),
-        ("observations".to_owned(), Value::Arr(observations)),
+        ("hists".to_owned(), Value::Arr(hists)),
     ])
 }
 
@@ -1016,12 +1032,31 @@ fn parse_delta(v: &Value) -> Option<MetricsDelta> {
         let [name, n] = pair.as_arr()? else { return None };
         counters.push((Counter::from_name(name.as_str()?)?, n.as_u64()?));
     }
-    let mut observations = Vec::new();
-    for pair in v.get("observations")?.as_arr()? {
-        let [name, val] = pair.as_arr()? else { return None };
-        observations.push((Hist::from_name(name.as_str()?)?, val.as_u64()?));
+    let mut hists = Vec::new();
+    for h in v.get("hists")?.as_arr()? {
+        let [name, count, sum, max, buckets] = h.as_arr()? else { return None };
+        let mut snap = HistSnapshot {
+            count: count.as_u64()?,
+            sum: sum.as_u64()?,
+            max: max.as_u64()?,
+            buckets: Vec::new(),
+        };
+        for pair in buckets.as_arr()? {
+            let [lb, n] = pair.as_arr()? else { return None };
+            let lb = lb.as_u64()?;
+            // Only exact bucket lower bounds are valid.
+            if lb != obs::bucket_lower_bound(obs::bucket_index(lb)) {
+                return None;
+            }
+            snap.buckets.push((lb, n.as_u64()?));
+        }
+        let total = snap.buckets.iter().try_fold(0u64, |acc, &(_, n)| acc.checked_add(n));
+        if total != Some(snap.count) {
+            return None;
+        }
+        hists.push((Hist::from_name(name.as_str()?)?, snap));
     }
-    Some(MetricsDelta::from_parts(counters, observations))
+    Some(MetricsDelta::from_parts(counters, hists))
 }
 
 fn serialize_record(
@@ -1112,9 +1147,15 @@ entry main;
 
     fn sample_decision() -> PersistedDecision {
         let stats = SearchStats { path_programs: 3, cmds_executed: 17, ..Default::default() };
+        let edge_us = HistSnapshot {
+            count: 1,
+            sum: 42,
+            max: 42,
+            buckets: vec![(obs::bucket_lower_bound(6), 1)],
+        };
         let obs = MetricsDelta::from_parts(
             [(Counter::EdgesRefuted, 1), (Counter::PathPrograms, 3)],
-            vec![(Hist::EdgeMicros, 42)],
+            [(Hist::EdgeMicros, edge_us)],
         );
         PersistedDecision {
             decision: EdgeDecision {
@@ -1190,7 +1231,11 @@ entry main;
         assert!(d.decision.outcome.is_refuted());
         assert_eq!(d.stats.path_programs, 3);
         assert_eq!(d.obs.counter(Counter::EdgesRefuted), 1);
-        assert_eq!(d.obs.observations(), &[(Hist::EdgeMicros, 42)]);
+        assert_eq!(
+            d.obs.histogram(Hist::EdgeMicros),
+            sample_decision().obs.histogram(Hist::EdgeMicros)
+        );
+        assert_eq!(d.obs.histogram(Hist::EdgeMicros).sum, 42);
         assert_eq!(d.elapsed, Duration::from_micros(42));
         assert!(!store.has_stale(&key, fp));
         assert!(store.has_stale(&key, fp ^ 1));

@@ -6,8 +6,13 @@
 //! constraints tying each symbolic value to a points-to region, and pure
 //! integer constraints split into *internal* equalities and capped *path*
 //! conditions.
+//!
+//! Queries are forked at every branch, call and heap write, so they are
+//! built to be cheap to clone: the maps are sorted vectors, region sets
+//! are shared ([`Region`]), and the trace is a persistent list whose
+//! chunks forks share.
 
-use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use pta::BitSet;
 use solver::{Atom, ConstraintSet, Term};
@@ -15,6 +20,7 @@ use tir::{CmdId, FieldId, GlobalId, VarId};
 
 use crate::region::Region;
 use crate::value::{SymId, Val};
+use crate::vecmap::VecMap;
 
 /// Raised when a query transfer discovers a contradiction; the enclosing
 /// path program is pruned. The variants drive the refutation statistics.
@@ -63,13 +69,13 @@ pub struct HeapCell {
 #[derive(Clone, Debug, Default)]
 pub struct Query {
     /// Exact points-to constraints on locals: `x ↦ v`.
-    pub locals: BTreeMap<VarId, Val>,
+    pub(crate) locals: VecMap<VarId, Val>,
     /// Exact points-to constraints on globals: `$G ↦ v`.
-    pub statics: BTreeMap<GlobalId, Val>,
+    pub(crate) statics: VecMap<GlobalId, Val>,
     /// Exact heap constraints, implicitly `*`-separated.
     pub heap: Vec<HeapCell>,
     /// `from` instance constraints per symbolic value.
-    regions: BTreeMap<SymId, Region>,
+    regions: VecMap<SymId, Region>,
     /// Internal pure constraints (value equalities, array index relations).
     pub pure: ConstraintSet,
     /// Path conditions gathered from guards; capped by the engine.
@@ -78,8 +84,76 @@ pub struct Query {
     /// consumed by the callee's trailing `return` transfer.
     pub ret_slot: Option<Val>,
     next_sym: u32,
-    /// Commands traversed by this path program, most recent first.
-    pub trace: Vec<CmdId>,
+    /// Commands traversed by this path program.
+    trace: Trace,
+}
+
+/// Commands per [`TraceChunk`].
+const TRACE_CHUNK: usize = 16;
+
+/// The commands a path program traversed, in traversal order, as a
+/// persistent list of fixed-size chunks: a fork shares every chunk, and a
+/// push appends in place while its chunk is unshared.
+#[derive(Clone, Debug, Default)]
+struct Trace {
+    head: Option<Rc<TraceChunk>>,
+    len: usize,
+}
+
+#[derive(Debug)]
+struct TraceChunk {
+    ids: [CmdId; TRACE_CHUNK],
+    n: usize,
+    prev: Option<Rc<TraceChunk>>,
+}
+
+impl Trace {
+    fn push(&mut self, cmd: CmdId) {
+        self.len += 1;
+        if let Some(chunk) = self.head.as_mut().and_then(Rc::get_mut) {
+            if chunk.n < TRACE_CHUNK {
+                chunk.ids[chunk.n] = cmd;
+                chunk.n += 1;
+                return;
+            }
+        }
+        let mut ids = [CmdId(0); TRACE_CHUNK];
+        ids[0] = cmd;
+        self.head = Some(Rc::new(TraceChunk { ids, n: 1, prev: self.head.take() }));
+    }
+
+    fn to_vec(&self) -> Vec<CmdId> {
+        let mut out = Vec::with_capacity(self.len);
+        let mut chunk = self.head.as_deref();
+        while let Some(c) = chunk {
+            out.extend(c.ids[..c.n].iter().rev());
+            chunk = c.prev.as_deref();
+        }
+        out.reverse();
+        out
+    }
+}
+
+/// Reusable buffers for [`Query::gc`] and [`Query::entails`]. The engine
+/// owns one, so neither allocates once the buffers have grown.
+#[derive(Debug, Default)]
+pub(crate) struct QueryScratch {
+    structural: Vec<u32>,
+    live: Vec<u32>,
+    occurrences: Vec<(u32, usize)>,
+    /// Entailment's symbol matching, `theirs → mine`, rolled back on a
+    /// failed cell trial.
+    map: Vec<(SymId, SymId)>,
+    used: Vec<bool>,
+}
+
+fn insert_sym(set: &mut Vec<u32>, s: u32) -> bool {
+    if set.contains(&s) {
+        false
+    } else {
+        set.push(s);
+        true
+    }
 }
 
 impl Query {
@@ -135,18 +209,11 @@ impl Query {
     /// eager contradiction at the heart of the mixed representation (§2.2).
     pub fn narrow(&mut self, s: SymId, locs: &BitSet) -> Result<(), Refuted> {
         let r = self.regions.get_mut(&s).expect("unknown symbolic value");
-        // Fast path: already at least as narrow (no allocation).
-        if let Region::Locs(cur) = r {
-            if cur.is_subset(locs) {
-                return if cur.is_empty() { Err(Refuted::EmptyRegion) } else { Ok(()) };
-            }
+        if r.intersect_locs(locs) {
+            Ok(())
+        } else {
+            Err(Refuted::EmptyRegion)
         }
-        let narrowed = r.intersect_locs(locs);
-        if narrowed.is_empty() {
-            return Err(Refuted::EmptyRegion);
-        }
-        *r = narrowed;
-        Ok(())
     }
 
     /// Unifies two values, merging symbolic variables (intersecting their
@@ -168,12 +235,9 @@ impl Query {
                 }
             }
             (Val::Null, Val::Int(_)) | (Val::Int(_), Val::Null) => Err(Refuted::Pure),
-            (Val::Sym(s), Val::Null) | (Val::Null, Val::Sym(s)) => {
-                // A symbolic value denotes a concrete instance or integer —
-                // never null.
-                let _ = s;
-                Err(Refuted::Separation)
-            }
+            // A symbolic value denotes a concrete instance or integer —
+            // never null.
+            (Val::Sym(_), Val::Null) | (Val::Null, Val::Sym(_)) => Err(Refuted::Separation),
             (Val::Sym(s), Val::Int(c)) | (Val::Int(c), Val::Sym(s)) => {
                 match self.region(s) {
                     Region::Data => {}
@@ -188,13 +252,10 @@ impl Query {
                 let (rep, gone) = if s1 < s2 { (s1, s2) } else { (s2, s1) };
                 let r1 = self.regions.remove(&gone).expect("unknown symbolic value");
                 let r0 = self.regions.get_mut(&rep).expect("unknown symbolic value");
-                let merged = r0.intersect(&r1);
-                if merged.is_empty() {
+                if !r0.intersect_with(&r1) {
                     return Err(Refuted::EmptyRegion);
                 }
-                *r0 = merged;
-                self.substitute(gone, rep)?;
-                Ok(())
+                self.substitute(gone, rep)
             }
         }
     }
@@ -219,13 +280,9 @@ impl Query {
             cell.val = subst(cell.val);
             cell.idx = cell.idx.map(subst);
         }
-        let map_atom = |a: &Atom| Atom {
-            op: a.op,
-            lhs: a.lhs.map_sym(|s| if s == gone.0 { rep.0 } else { s }),
-            rhs: a.rhs.map_sym(|s| if s == gone.0 { rep.0 } else { s }),
-        };
-        self.pure = self.pure.atoms().iter().map(map_atom).collect();
-        self.path = self.path.atoms().iter().map(map_atom).collect();
+        let rename = |s: u32| if s == gone.0 { rep.0 } else { s };
+        self.pure.rename_syms(rename);
+        self.path.rename_syms(rename);
         if !self.pure_sat() {
             return Err(Refuted::Pure);
         }
@@ -274,14 +331,7 @@ impl Query {
     /// True if the pure and path constraints are jointly satisfiable,
     /// reporting solver failures (overflow, oversized sets) to the caller.
     pub fn try_pure_sat(&self) -> Result<bool, solver::SolverError> {
-        if self.path.is_empty() {
-            return self.pure.try_is_sat();
-        }
-        let mut all = self.pure.clone();
-        for a in self.path.atoms() {
-            all.add_atom(*a);
-        }
-        all.try_is_sat()
+        self.pure.try_is_sat_with(self.path.atoms())
     }
 
     /// The combined pure+path constraint set.
@@ -304,13 +354,20 @@ impl Query {
         const INTERNAL_PURE_CAP: usize = 32;
         self.pure.add(op, lhs, rhs);
         while self.pure.len() > INTERNAL_PURE_CAP {
-            let atoms: Vec<Atom> = self.pure.atoms()[1..].to_vec();
-            self.pure = atoms.into_iter().collect();
+            let mut first = true;
+            self.pure.retain(|_| !std::mem::take(&mut first));
         }
         if !self.pure_sat() {
             return Err(Refuted::Pure);
         }
         Ok(())
+    }
+
+    /// True if symbol `s` is tied to a heap or static constraint.
+    fn anchored(&self, s: u32) -> bool {
+        let is = |v: Val| v == Val::Sym(SymId(s));
+        self.heap.iter().any(|c| c.obj.0 == s || is(c.val) || c.idx.is_some_and(is))
+            || self.statics.values().any(|&v| is(v))
     }
 
     /// Adds a path-condition atom, evicting atoms beyond `cap` (a sound
@@ -325,36 +382,18 @@ impl Query {
     pub fn add_path_atom(&mut self, atom: Atom, cap: usize) -> Result<(), Refuted> {
         self.path.add_atom(atom);
         while self.path.len() > cap {
-            // Symbols anchored in memory constraints.
-            let mut anchored: BitSet = BitSet::new();
-            for c in &self.heap {
-                anchored.insert(c.obj.index());
-                if let Val::Sym(s) = c.val {
-                    anchored.insert(s.index());
-                }
-                if let Some(Val::Sym(s)) = c.idx {
-                    anchored.insert(s.index());
-                }
-            }
-            for v in self.statics.values() {
-                if let Val::Sym(s) = v {
-                    anchored.insert(s.index());
-                }
-            }
-            let atoms: Vec<Atom> = self.path.atoms().to_vec();
             // Never evict the just-added atom (its symbols become anchored
             // only once the reads feeding the guard are processed).
+            let atoms = self.path.atoms();
             let victim = atoms[..atoms.len() - 1]
                 .iter()
-                .position(|a| a.syms().all(|s| !anchored.contains(s as usize)))
+                .position(|a| a.syms().all(|s| !self.anchored(s)))
                 .unwrap_or(0);
-            let remaining: Vec<Atom> = atoms
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| *i != victim)
-                .map(|(_, a)| a)
-                .collect();
-            self.path = remaining.into_iter().collect();
+            let mut i = 0;
+            self.path.retain(|_| {
+                i += 1;
+                i - 1 != victim
+            });
         }
         if !self.pure_sat() {
             return Err(Refuted::Pure);
@@ -364,20 +403,14 @@ impl Query {
 
     /// Record a traversed command in the path-program trace.
     pub fn record(&mut self, cmd: CmdId, cap: usize) {
-        if self.trace.len() < cap {
+        if self.trace.len < cap {
             self.trace.push(cmd);
         }
     }
 
-    /// Fields mentioned by heap constraints (query footprint, for mod/ref
-    /// relevance checks).
-    pub fn field_footprint(&self) -> BitSet {
-        self.heap.iter().map(|c| c.field.index()).collect()
-    }
-
-    /// Globals mentioned by static constraints.
-    pub fn global_footprint(&self) -> BitSet {
-        self.statics.keys().map(|g| g.index()).collect()
+    /// The commands this path program traversed, in traversal order.
+    pub fn trace(&self) -> Vec<CmdId> {
+        self.trace.to_vec()
     }
 
     /// True if no memory constraints remain — the query is the `any` memory
@@ -401,76 +434,75 @@ impl Query {
             return Err(Refuted::Entry);
         }
         let mut pure = self.all_pure();
-        let mut check_default = |v: &Val, regions: &BTreeMap<SymId, Region>| match v {
-            Val::Null | Val::Int(0) => Ok(()),
-            Val::Int(_) => Err(Refuted::Entry),
-            Val::Sym(s) => match regions.get(s) {
-                Some(Region::Data) => {
-                    pure.add(tir::CmpOp::Eq, Term::sym(s.0), Term::int(0));
-                    Ok(())
-                }
-                _ => Err(Refuted::Entry),
-            },
-        };
-        for v in self.locals.values() {
-            check_default(v, &self.regions)?;
+        for v in self.locals.values().chain(self.statics.values()) {
+            match v {
+                Val::Null | Val::Int(0) => {}
+                Val::Int(_) => return Err(Refuted::Entry),
+                Val::Sym(s) => match self.regions.get(s) {
+                    Some(Region::Data) => pure.add(tir::CmpOp::Eq, Term::sym(s.0), Term::int(0)),
+                    _ => return Err(Refuted::Entry),
+                },
+            }
         }
-        for v in self.statics.values() {
-            check_default(v, &self.regions)?;
-        }
-        let _ = &check_default;
         if !pure.is_sat() {
             return Err(Refuted::Entry);
         }
         Ok(())
     }
 
-    /// Drops pure/path atoms that mention no symbolic value reachable from
-    /// the structural constraints (a sound weakening that keeps queries
-    /// comparable), and garbage-collects unused regions.
-    pub fn gc(&mut self) {
-        let mut live: BitSet = BitSet::new();
-        let mut mark = |v: &Val| {
+    /// Calls `f` on every symbolic value a structural constraint (local,
+    /// pending return, static, heap cell) mentions.
+    fn for_each_structural_sym(&self, mut f: impl FnMut(SymId)) {
+        let mut val = |v: &Val| {
             if let Val::Sym(s) = v {
-                live.insert(s.index());
+                f(*s);
             }
         };
         for v in self.locals.values() {
-            mark(v);
+            val(v);
         }
         if let Some(r) = &self.ret_slot {
-            mark(r);
+            val(r);
         }
         for v in self.statics.values() {
-            mark(v);
+            val(v);
         }
         for c in &self.heap {
-            mark(&Val::Sym(c.obj));
-            mark(&c.val);
+            val(&Val::Sym(c.obj));
+            val(&c.val);
             if let Some(i) = &c.idx {
-                mark(i);
+                val(i);
             }
         }
-        let _ = &mark;
+    }
+
+    /// Drops pure/path atoms that mention no symbolic value reachable from
+    /// the structural constraints (a sound weakening that keeps queries
+    /// comparable), and garbage-collects unused regions.
+    pub(crate) fn gc(&mut self, scratch: &mut QueryScratch) {
+        let QueryScratch { structural, live, occurrences, .. } = scratch;
+        structural.clear();
+        self.for_each_structural_sym(|s| {
+            insert_sym(structural, s.0);
+        });
         // Close over pure atoms: an atom linking a live sym keeps its other
         // sym live.
-        let all_atoms: Vec<Atom> =
-            self.pure.atoms().iter().chain(self.path.atoms()).copied().collect();
+        live.clear();
+        live.extend_from_slice(structural);
         let mut changed = true;
         while changed {
             changed = false;
-            for a in &all_atoms {
-                let syms: Vec<u32> = a.syms().collect();
-                if syms.iter().any(|&s| live.contains(s as usize)) {
-                    for &s in &syms {
-                        changed |= live.insert(s as usize);
+            for a in self.pure.atoms().iter().chain(self.path.atoms()) {
+                if a.syms().any(|s| live.contains(&s)) {
+                    for s in a.syms() {
+                        changed |= insert_sym(live, s);
                     }
                 }
             }
         }
         let keep = |a: &Atom| {
-            let syms: Vec<u32> = a.syms().collect();
-            syms.is_empty() || syms.iter().any(|&s| live.contains(s as usize))
+            let mut syms = a.syms().peekable();
+            syms.peek().is_none() || syms.any(|s| live.contains(&s))
         };
         self.pure.retain(keep);
         self.path.retain(keep);
@@ -480,40 +512,20 @@ impl Query {
         // trivial (the symbol can always be chosen to satisfy it — the
         // integers are unbounded), so it constrains nothing. Dropping it is
         // a no-loss weakening that keeps queries canonical for subsumption.
-        let mut structural: BitSet = BitSet::new();
-        let mut mark2 = |v: &Val| {
-            if let Val::Sym(s) = v {
-                structural.insert(s.index());
-            }
-        };
-        for v in self.locals.values() {
-            mark2(v);
-        }
-        if let Some(r) = &self.ret_slot {
-            mark2(r);
-        }
-        for v in self.statics.values() {
-            mark2(v);
-        }
-        for c in &self.heap {
-            mark2(&Val::Sym(c.obj));
-            mark2(&c.val);
-            if let Some(i) = &c.idx {
-                mark2(i);
-            }
-        }
-        let _ = &mark2;
         loop {
-            let mut occurrences: std::collections::HashMap<u32, usize> =
-                std::collections::HashMap::new();
+            occurrences.clear();
             for a in self.pure.atoms().iter().chain(self.path.atoms()) {
                 for s in a.syms() {
-                    *occurrences.entry(s).or_insert(0) += 1;
+                    match occurrences.iter_mut().find(|(t, _)| *t == s) {
+                        Some((_, n)) => *n += 1,
+                        None => occurrences.push((s, 1)),
+                    }
                 }
             }
             let vacuous = |a: &Atom| {
-                a.syms()
-                    .any(|s| !structural.contains(s as usize) && occurrences.get(&s) == Some(&1))
+                a.syms().any(|s| {
+                    !structural.contains(&s) && occurrences.iter().any(|&(t, n)| t == s && n == 1)
+                })
             };
             let before = self.pure.len() + self.path.len();
             self.pure.retain(|a| !vacuous(a));
@@ -522,13 +534,11 @@ impl Query {
                 break;
             }
         }
-        let mut final_live = structural;
-        for a in self.pure.atoms().iter().chain(self.path.atoms()) {
-            for s in a.syms() {
-                final_live.insert(s as usize);
-            }
-        }
-        self.regions.retain(|s, _| final_live.contains(s.index()));
+        let (pure, path) = (&self.pure, &self.path);
+        self.regions.retain(|s, _| {
+            structural.contains(&s.0)
+                || pure.atoms().iter().chain(path.atoms()).any(|a| a.syms().any(|t| t == s.0))
+        });
     }
 
     /// True if both queries carry exactly the same constraints (ignoring
@@ -553,73 +563,75 @@ impl Query {
     ///
     /// Conservative: may return `false` for semantically entailed queries,
     /// never `true` for non-entailed ones.
-    pub fn entails(&self, other: &Query, strict_regions: bool) -> bool {
+    pub(crate) fn entails(
+        &self,
+        other: &Query,
+        strict_regions: bool,
+        scratch: &mut QueryScratch,
+    ) -> bool {
         // Histories are only consulted at points where no return binding is
         // pending; bail out conservatively otherwise.
         if self.ret_slot.is_some() || other.ret_slot.is_some() {
             return false;
         }
-        let mut map: BTreeMap<SymId, SymId> = BTreeMap::new();
-        let match_val =
-            |q: &Query, map: &mut BTreeMap<SymId, SymId>, mine: Val, theirs: Val| -> bool {
-                match (mine, theirs) {
-                    (Val::Sym(a), Val::Sym(b)) => {
-                        if let Some(&m) = map.get(&b) {
-                            return m == a;
-                        }
-                        let ok = if strict_regions {
-                            q.region(a) == other.region(b)
-                        } else {
-                            q.region(a).is_subset(other.region(b))
-                        };
-                        if ok {
-                            map.insert(b, a);
-                        }
-                        ok
+        let QueryScratch { map, used, .. } = scratch;
+        map.clear();
+        let match_val = |map: &mut Vec<(SymId, SymId)>, mine: Val, theirs: Val| -> bool {
+            match (mine, theirs) {
+                (Val::Sym(a), Val::Sym(b)) => {
+                    if let Some(&(_, m)) = map.iter().find(|(t, _)| *t == b) {
+                        return m == a;
                     }
-                    (Val::Null, Val::Null) => true,
-                    (Val::Int(x), Val::Int(y)) => x == y,
-                    _ => false,
+                    let ok = if strict_regions {
+                        self.region(a) == other.region(b)
+                    } else {
+                        self.region(a).is_subset(other.region(b))
+                    };
+                    if ok {
+                        map.push((b, a));
+                    }
+                    ok
                 }
-            };
+                (Val::Null, Val::Null) => true,
+                (Val::Int(x), Val::Int(y)) => x == y,
+                _ => false,
+            }
+        };
 
-        for (var, &theirs) in &other.locals {
+        for (var, &theirs) in other.locals.iter() {
             let Some(&mine) = self.locals.get(var) else { return false };
-            if !match_val(self, &mut map, mine, theirs) {
+            if !match_val(map, mine, theirs) {
                 return false;
             }
         }
-        for (g, &theirs) in &other.statics {
+        for (g, &theirs) in other.statics.iter() {
             let Some(&mine) = self.statics.get(g) else { return false };
-            if !match_val(self, &mut map, mine, theirs) {
+            if !match_val(map, mine, theirs) {
                 return false;
             }
         }
-        // Greedy cell matching with used-set (cells are few).
-        let mut used = vec![false; self.heap.len()];
+        // Greedy cell matching with used-set (cells are few). A failed
+        // trial rolls the symbol map back to where it started.
+        used.clear();
+        used.resize(self.heap.len(), false);
         for cell in &other.heap {
             let mut found = false;
             for (i, mine) in self.heap.iter().enumerate() {
                 if used[i] || mine.field != cell.field {
                     continue;
                 }
-                let mut trial = map.clone();
-                if !match_val(self, &mut trial, Val::Sym(mine.obj), Val::Sym(cell.obj)) {
+                let mark = map.len();
+                let matched = match_val(map, Val::Sym(mine.obj), Val::Sym(cell.obj))
+                    && match_val(map, mine.val, cell.val)
+                    && match (&mine.idx, &cell.idx) {
+                        (None, None) => true,
+                        (Some(a), Some(b)) => match_val(map, *a, *b),
+                        _ => false,
+                    };
+                if !matched {
+                    map.truncate(mark);
                     continue;
                 }
-                if !match_val(self, &mut trial, mine.val, cell.val) {
-                    continue;
-                }
-                match (&mine.idx, &cell.idx) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        if !match_val(self, &mut trial, *a, *b) {
-                            continue;
-                        }
-                    }
-                    _ => continue,
-                }
-                map = trial;
                 used[i] = true;
                 found = true;
                 break;
@@ -628,32 +640,25 @@ impl Query {
                 return false;
             }
         }
-        // Pure entailment on mapped atoms (sets built lazily: most queries
-        // carry no pure atoms at subsumption points).
+        // Pure entailment on mapped atoms.
         if other.pure.is_empty() && other.path.is_empty() {
             return true;
         }
-        let mine_all = self.all_pure();
         for atom in other.pure.atoms().iter().chain(other.path.atoms()) {
             let mut unmapped = false;
+            let mut rename = |s: u32| match map.iter().find(|(t, _)| t.0 == s) {
+                Some(&(_, m)) => m.0,
+                None => {
+                    unmapped = true;
+                    s
+                }
+            };
             let mapped = Atom {
                 op: atom.op,
-                lhs: atom.lhs.map_sym(|s| match map.get(&SymId(s)) {
-                    Some(m) => m.0,
-                    None => {
-                        unmapped = true;
-                        s
-                    }
-                }),
-                rhs: atom.rhs.map_sym(|s| match map.get(&SymId(s)) {
-                    Some(m) => m.0,
-                    None => {
-                        unmapped = true;
-                        s
-                    }
-                }),
+                lhs: atom.lhs.map_sym(&mut rename),
+                rhs: atom.rhs.map_sym(&mut rename),
             };
-            if unmapped || !mine_all.implies(&mapped) {
+            if unmapped || !self.pure.implies_with(self.path.atoms(), &mapped) {
                 return false;
             }
         }
@@ -670,10 +675,10 @@ impl Query {
             Val::Null => "null".to_owned(),
             Val::Int(i) => i.to_string(),
         };
-        for (x, v) in &self.locals {
+        for (x, v) in self.locals.iter() {
             let _ = write!(out, "{} -> {} * ", program.var(*x).name, val(v));
         }
-        for (g, v) in &self.statics {
+        for (g, v) in self.statics.iter() {
             let _ = write!(out, "${} -> {} * ", program.global(*g).name, val(v));
         }
         for c in &self.heap {
@@ -705,7 +710,7 @@ impl Query {
         if out.is_empty() {
             out.push_str("any");
         }
-        for (s, r) in &self.regions {
+        for (s, r) in self.regions.iter() {
             match r {
                 Region::Locs(set) => {
                     let _ = write!(out, " . {s} from {set:?}");
@@ -858,7 +863,7 @@ mod tests {
         let dead = q.fresh_sym(Region::Data);
         let chained = q.fresh_sym(Region::Data);
         q.pure.add(CmpOp::Eq, Term::sym(dead.0), Term::sym(chained.0));
-        q.gc();
+        q.gc(&mut QueryScratch::default());
         assert!(q.pure.is_empty());
         assert!(!q.regions.contains_key(&dead));
         assert!(q.regions.contains_key(&live));
@@ -873,7 +878,7 @@ mod tests {
         let mid = q.fresh_sym(Region::Data);
         q.pure.add(CmpOp::Eq, Term::sym(live.0), Term::sym(mid.0));
         q.pure.add(CmpOp::Eq, Term::sym(mid.0), Term::int(5));
-        q.gc();
+        q.gc(&mut QueryScratch::default());
         assert_eq!(q.pure.len(), 2);
     }
 
@@ -890,10 +895,10 @@ mod tests {
         let w = weak.fresh_sym(locs(&[1, 2]));
         weak.locals.insert(VarId(0), Val::Sym(w));
 
-        assert!(strong.entails(&weak, false));
-        assert!(!weak.entails(&strong, false));
+        assert!(strong.entails(&weak, false, &mut QueryScratch::default()));
+        assert!(!weak.entails(&strong, false, &mut QueryScratch::default()));
         // Strict regions (fully symbolic): subset no longer suffices.
-        assert!(!strong.entails(&weak, true));
+        assert!(!strong.entails(&weak, true, &mut QueryScratch::default()));
     }
 
     #[test]
@@ -908,8 +913,8 @@ mod tests {
         b.locals.insert(VarId(0), Val::Sym(t));
         b.pure.add(CmpOp::Le, Term::sym(t.0), Term::int(5));
 
-        assert!(a.entails(&b, false)); // s = 3 implies s <= 5
-        assert!(!b.entails(&a, false));
+        assert!(a.entails(&b, false, &mut QueryScratch::default())); // s = 3 implies s <= 5
+        assert!(!b.entails(&a, false, &mut QueryScratch::default()));
     }
 
     #[test]

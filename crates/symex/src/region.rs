@@ -1,14 +1,19 @@
 //! Points-to regions — the ranges of `from` instance constraints.
 
+use std::rc::Rc;
+
 use pta::BitSet;
 
 /// The range of a `v̂ from r̂` instance constraint (§3.1): either a set of
 /// abstract locations, or the distinguished `data` region of non-address
 /// values (integers).
+///
+/// Location sets are shared (`Rc`): cloning a query only bumps counts, and
+/// a narrowing copies a set only when it actually changes a shared one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Region {
     /// Instances drawn from this set of abstract locations.
-    Locs(BitSet),
+    Locs(Rc<BitSet>),
     /// A non-address (integer) value.
     Data,
 }
@@ -16,12 +21,12 @@ pub enum Region {
 impl Region {
     /// A region of the given locations.
     pub fn locs(set: BitSet) -> Region {
-        Region::Locs(set)
+        Region::Locs(Rc::new(set))
     }
 
     /// A region containing a single location.
     pub fn singleton(loc: usize) -> Region {
-        Region::Locs(BitSet::singleton(loc))
+        Region::locs(BitSet::singleton(loc))
     }
 
     /// True if the region denotes no values — axiom (1) of §3.2: a `from ∅`
@@ -33,21 +38,25 @@ impl Region {
         }
     }
 
-    /// Intersects with another region (axiom (2) of §3.2). Locations and
-    /// `data` are disjoint, so mixing them yields the empty region.
-    pub fn intersect(&self, other: &Region) -> Region {
-        match (self, other) {
-            (Region::Locs(a), Region::Locs(b)) => Region::Locs(a.intersection(b)),
-            (Region::Data, Region::Data) => Region::Data,
-            (Region::Locs(_), Region::Data) | (Region::Data, Region::Locs(_)) => {
-                Region::Locs(BitSet::new())
-            }
+    /// Intersects in place with another region (axiom (2) of §3.2).
+    /// Locations and `data` are disjoint, so mixing them yields the empty
+    /// region. Returns `false` — leaving `self` unchanged — when the
+    /// intersection is empty.
+    pub fn intersect_with(&mut self, other: &Region) -> bool {
+        match (&mut *self, other) {
+            (Region::Locs(a), Region::Locs(b)) => narrow_locs(a, b),
+            (Region::Data, Region::Data) => true,
+            (Region::Locs(_), Region::Data) | (Region::Data, Region::Locs(_)) => false,
         }
     }
 
-    /// Intersects with a location set.
-    pub fn intersect_locs(&self, locs: &BitSet) -> Region {
-        self.intersect(&Region::Locs(locs.clone()))
+    /// Intersects in place with a location set; see
+    /// [`Region::intersect_with`].
+    pub fn intersect_locs(&mut self, locs: &BitSet) -> bool {
+        match self {
+            Region::Locs(a) => narrow_locs(a, locs),
+            Region::Data => false,
+        }
     }
 
     /// Subset check — the entailment of Equation (§) in §3.3:
@@ -70,31 +79,53 @@ impl Region {
     }
 }
 
+/// `a ∩= b`, copying `a` first only if it is shared and actually shrinks.
+/// The result keeps `a`'s word length, exactly like
+/// [`BitSet::intersection`]. Returns `false`, leaving `a` unchanged, when
+/// the intersection is empty.
+fn narrow_locs(a: &mut Rc<BitSet>, b: &BitSet) -> bool {
+    if a.is_subset(b) {
+        return !a.is_empty();
+    }
+    if a.is_disjoint(b) {
+        return false;
+    }
+    Rc::make_mut(a).intersect_with(b);
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_detection() {
-        assert!(Region::Locs(BitSet::new()).is_empty());
+        assert!(Region::locs(BitSet::new()).is_empty());
         assert!(!Region::singleton(3).is_empty());
         assert!(!Region::Data.is_empty());
     }
 
     #[test]
     fn intersection_narrows() {
-        let a = Region::locs([1, 2, 3].into_iter().collect());
+        let mut a = Region::locs([1, 2, 3].into_iter().collect());
         let b = Region::locs([2, 3, 4].into_iter().collect());
-        let i = a.intersect(&b);
-        assert_eq!(i.as_locs().unwrap().iter().collect::<Vec<_>>(), vec![2, 3]);
+        let shared = a.clone();
+        assert!(a.intersect_with(&b));
+        assert_eq!(a.as_locs().unwrap().iter().collect::<Vec<_>>(), vec![2, 3]);
+        // The narrowing copied the shared set instead of changing it.
+        assert_eq!(shared.as_locs().unwrap().len(), 3);
     }
 
     #[test]
     fn data_and_locs_are_disjoint() {
-        let a = Region::singleton(1);
-        assert!(a.intersect(&Region::Data).is_empty());
-        assert!(Region::Data.intersect(&a).is_empty());
-        assert_eq!(Region::Data.intersect(&Region::Data), Region::Data);
+        let mut a = Region::singleton(1);
+        assert!(!a.intersect_with(&Region::Data));
+        assert_eq!(a, Region::singleton(1), "an empty intersection leaves the region");
+        assert!(!Region::Data.intersect_with(&a));
+        assert!(!Region::Data.intersect_locs(&BitSet::singleton(1)));
+        let mut d = Region::Data;
+        assert!(d.intersect_with(&Region::Data));
+        assert!(!a.intersect_locs(&BitSet::singleton(2)));
     }
 
     #[test]

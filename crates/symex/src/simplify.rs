@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use tir::MethodId;
 
-use crate::query::Query;
+use crate::query::{Query, QueryScratch};
 
 /// A program point at which query histories are kept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,10 +92,18 @@ impl History {
     }
 
     /// True if a weaker-or-equal query was already explored at `point`.
-    pub(crate) fn subsumes_at(&self, point: Point, q: &Query, strict: bool) -> bool {
+    pub(crate) fn subsumes_at(
+        &self,
+        point: Point,
+        q: &Query,
+        strict: bool,
+        scratch: &mut QueryScratch,
+    ) -> bool {
         let Some(entries) = self.map.get(&point) else { return false };
         let key = SubKey::of(q);
-        entries.iter().any(|(old_key, old)| old_key.subset_of(&key) && q.entails(old, strict))
+        entries
+            .iter()
+            .any(|(old_key, old)| old_key.subset_of(&key) && q.entails(old, strict, scratch))
     }
 
     /// Records `q` at `point`.
@@ -130,9 +138,9 @@ mod tests {
         let s = q.fresh_sym(Region::singleton(1));
         q.locals.insert(VarId(0), Val::Sym(s));
         let p = Point::MethodEntry(MethodId(0));
-        assert!(!h.subsumes_at(p, &q, false));
+        assert!(!h.subsumes_at(p, &q, false, &mut QueryScratch::default()));
         h.insert(p, q.clone());
-        assert!(h.subsumes_at(p, &q, false));
+        assert!(h.subsumes_at(p, &q, false, &mut QueryScratch::default()));
     }
 
     #[test]
@@ -147,14 +155,14 @@ mod tests {
         let mut strong = Query::new();
         let t = strong.fresh_sym(Region::singleton(1));
         strong.locals.insert(VarId(0), Val::Sym(t));
-        assert!(h.subsumes_at(p, &strong, false));
+        assert!(h.subsumes_at(p, &strong, false, &mut QueryScratch::default()));
         // Strict (fully symbolic) region comparison disables the subset
         // check.
-        assert!(!h.subsumes_at(p, &strong, true));
+        assert!(!h.subsumes_at(p, &strong, true, &mut QueryScratch::default()));
 
         let mut h2 = History::new();
         h2.insert(p, strong);
-        assert!(!h2.subsumes_at(p, &weak, false));
+        assert!(!h2.subsumes_at(p, &weak, false, &mut QueryScratch::default()));
     }
 
     #[test]
@@ -176,7 +184,7 @@ mod tests {
         let p = Point::MethodEntry(MethodId(1));
         h.insert(p, Query::new());
         h.clear();
-        assert!(!h.subsumes_at(p, &Query::new(), false));
+        assert!(!h.subsumes_at(p, &Query::new(), false, &mut QueryScratch::default()));
     }
 
     #[test]
@@ -195,6 +203,6 @@ mod tests {
         assert!(!kb.subset_of(&ks));
         // The key filter is only a necessary condition, so the reject
         // direction must be exact: `big` has a local `small` lacks.
-        assert!(!small.entails(&big, false));
+        assert!(!small.entails(&big, false, &mut QueryScratch::default()));
     }
 }

@@ -20,9 +20,14 @@ fn trace_cmds() -> bool {
 }
 
 impl Engine<'_> {
-    /// Applies the backwards transfer of one command. Returns the surviving
-    /// pre-queries; an empty vector means every case was refuted.
-    pub(crate) fn exec_cmd_back(&mut self, cmd_id: CmdId, mut q: Query) -> Flow {
+    /// Applies the backwards transfer of one command, pushing the surviving
+    /// pre-queries into `out`; pushing none means every case was refuted.
+    pub(crate) fn exec_cmd_back(
+        &mut self,
+        cmd_id: CmdId,
+        mut q: Query,
+        out: &mut Vec<Query>,
+    ) -> Flow {
         self.charge_cmd()?;
         self.stats.add_cmd_executed();
         obs::observe(obs::Hist::HeapCells, q.heap.len() as u64);
@@ -49,19 +54,21 @@ impl Engine<'_> {
         }
         let program = self.program;
         let cmd = program.cmd(cmd_id);
+        let start = out.len();
         // Calls, writes, and guards manage their own forking/stopping.
-        let qs: Vec<Query> = match cmd {
-            Command::Call { .. } => self.exec_call_back(cmd_id, q)?,
+        match cmd {
+            Command::Call { .. } => self.exec_call_back(cmd_id, q, out)?,
             Command::WriteField { obj, field, src } => {
-                self.exec_write_back(q, *obj, *field, None, *src)?
+                self.exec_write_back(q, *obj, *field, None, *src, out)?
             }
             Command::WriteArray { arr, idx, src } => {
-                self.exec_write_back(q, *arr, program.contents_field, Some(*idx), *src)?
+                self.exec_write_back(q, *arr, program.contents_field, Some(*idx), *src, out)?
             }
-            Command::Assume { cond } => match self.apply_cond(cond, q)? {
-                Some(q2) => vec![q2],
-                None => Vec::new(),
-            },
+            Command::Assume { cond } => {
+                if let Some(q2) = self.apply_cond(cond, q)? {
+                    out.push(q2);
+                }
+            }
             other => {
                 let res = match other {
                     Command::Assign { dst, src } => self.exec_assign_back(q, *dst, *src),
@@ -91,25 +98,22 @@ impl Engine<'_> {
                     _ => unreachable!("handled above"),
                 };
                 match res {
-                    Ok(qs) => qs,
-                    Err(r) => {
-                        self.stats.count_refutation(r);
-                        Vec::new()
-                    }
+                    Ok(q) => out.push(q),
+                    Err(r) => self.stats.count_refutation(r),
                 }
             }
-        };
-        self.finish(qs)
+        }
+        self.finish(out, start)
     }
 
-    /// Post-processing shared by all transfers: heap-consistency
-    /// normalization, explicit-mode explosion, and the full-witness check
-    /// (a discharged satisfiable query is `any`).
-    fn finish(&mut self, qs: Vec<Query>) -> Flow {
+    /// Post-processing shared by all transfers, over the queries one
+    /// transfer pushed (`out[start..]`): heap-size capping, explicit-mode
+    /// explosion, and the full-witness check (a discharged satisfiable
+    /// query is `any`).
+    fn finish(&mut self, out: &mut Vec<Query>, start: usize) -> Flow {
         let cap = self.config.max_heap_cells;
         let hard_cap = self.config.hard_heap_cap;
-        let mut capped = Vec::with_capacity(qs.len());
-        for mut q in qs {
+        for q in &mut out[start..] {
             // Bound query size: drop the newest cells beyond the cap
             // (sound weakening; keeps transfers and entailment cheap). With
             // `hard_heap_cap` the overflow aborts instead, surfacing
@@ -117,23 +121,19 @@ impl Engine<'_> {
             if q.heap.len() > cap && hard_cap {
                 return Err(Stop::Aborted(StopReason::HeapCap));
             }
-            while q.heap.len() > cap {
-                q.heap.pop();
-            }
-            capped.push(q);
+            q.heap.truncate(cap);
         }
-        let mut out = Vec::new();
         if self.config.representation == Representation::FullyExplicit {
+            let capped: Vec<Query> = out.drain(start..).collect();
             for q in capped {
-                self.explode(q, &mut out)?;
+                self.explode(q, out)?;
             }
-        } else {
-            out = capped;
         }
-        if out.len() > 1 {
-            self.charge(out.len() as u64 - 1)?;
+        let produced = out.len() - start;
+        if produced > 1 {
+            self.charge(produced as u64 - 1)?;
         }
-        for q in &out {
+        for q in &out[start..] {
             if q.is_discharged() && q.ret_slot.is_none() {
                 // A solver failure means we cannot show the discharged
                 // query inconsistent, but reporting it as a witness would
@@ -146,7 +146,7 @@ impl Engine<'_> {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Heap-consistency narrowing: for every exact cell `ô·f ↦ v̂`, the
@@ -165,40 +165,39 @@ impl Engine<'_> {
             return Ok(());
         }
         // Single pass per transfer: narrowing cascades are picked up by the
-        // next transfer's pass, keeping per-transfer cost linear.
-        {
-            let mut changed = false;
-            let cells: Vec<(crate::value::SymId, FieldId, Val)> =
-                q.heap.iter().map(|c| (c.obj, c.field, c.val)).collect();
-            for (obj, field, val) in cells {
-                let Val::Sym(vs) = val else { continue };
-                let Some(val_locs) = q.region(vs).as_locs().cloned() else { continue };
-                let Some(owner_locs) = q.region(obj).as_locs().cloned() else { continue };
-                // Forward: the value must lie in the union of the owners'
-                // field points-to sets.
-                let mut allowed = BitSet::new();
-                for l in owner_locs.iter() {
-                    allowed.union_with(self.pta.pt_field(pta::LocId(l as u32), field));
-                }
-                if !val_locs.is_subset(&allowed) {
-                    q.narrow(vs, &allowed)?;
-                    changed = true;
-                }
-                // Backward: the owner must be a location whose field may
-                // reach the value's region.
-                let mut owners = BitSet::new();
-                for l in owner_locs.iter() {
-                    let lid = pta::LocId(l as u32);
-                    if !self.pta.pt_field(lid, field).is_disjoint(&val_locs) {
-                        owners.insert(l);
-                    }
-                }
-                if owners != owner_locs {
-                    q.narrow(obj, &owners)?;
-                    changed = true;
+        // next transfer's pass, keeping per-transfer cost linear. Both
+        // narrowings of a cell are computed from its regions as they were
+        // before either is applied.
+        let pta = self.pta;
+        for i in 0..q.heap.len() {
+            let (obj, field, val) = (q.heap[i].obj, q.heap[i].field, q.heap[i].val);
+            let Val::Sym(vs) = val else { continue };
+            let Some(val_locs) = q.region(vs).as_locs() else { continue };
+            let Some(owner_locs) = q.region(obj).as_locs() else { continue };
+            // Forward: the value must lie in the union of the owners'
+            // field points-to sets.
+            let allowed = &mut self.allowed;
+            allowed.clear();
+            for l in owner_locs.iter() {
+                allowed.union_with(pta.pt_field(pta::LocId(l as u32), field));
+            }
+            let narrow_val = !val_locs.is_subset(allowed);
+            // Backward: the owner must be a location whose field may
+            // reach the value's region.
+            let owners = &mut self.owners;
+            owners.clear();
+            for l in owner_locs.iter() {
+                if !pta.pt_field(pta::LocId(l as u32), field).is_disjoint(val_locs) {
+                    owners.insert(l);
                 }
             }
-            let _ = changed;
+            let narrow_owner = owners != owner_locs;
+            if narrow_val {
+                q.narrow(vs, &self.allowed)?;
+            }
+            if narrow_owner {
+                q.narrow(obj, &self.owners)?;
+            }
         }
         Ok(())
     }
@@ -233,10 +232,10 @@ impl Engine<'_> {
         mut q: Query,
         dst: VarId,
         src: Operand,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         self.bind_value_to_operand(&mut q, v, src)?;
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Backwards integer arithmetic: `x := lhs op rhs`. Addition and
@@ -249,8 +248,8 @@ impl Engine<'_> {
         op: BinOp,
         lhs: Operand,
         rhs: Operand,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         let v_term = match v {
             Val::Int(c) => Term::int(c),
             Val::Sym(s) => Term::sym(s.0),
@@ -267,29 +266,29 @@ impl Engine<'_> {
                     BinOp::Sub => a.checked_sub(b),
                     BinOp::Mul => a.checked_mul(b),
                 };
-                let Some(r) = r else { return Ok(vec![q]) };
+                let Some(r) = r else { return Ok(q) };
                 q.add_pure(CmpOp::Eq, v_term, Term::int(r))?;
             }
             (BinOp::Add, Operand::Var(y), Operand::Int(c))
             | (BinOp::Add, Operand::Int(c), Operand::Var(y)) => {
                 let w = self.int_term(&mut q, y)?;
-                let Some(t) = offset(w, c) else { return Ok(vec![q]) };
+                let Some(t) = offset(w, c) else { return Ok(q) };
                 q.add_pure(CmpOp::Eq, v_term, t)?;
             }
             (BinOp::Sub, Operand::Var(y), Operand::Int(c)) => {
                 let w = self.int_term(&mut q, y)?;
                 let Some(t) = c.checked_neg().and_then(|nc| offset(w, nc)) else {
-                    return Ok(vec![q]);
+                    return Ok(q);
                 };
                 q.add_pure(CmpOp::Eq, v_term, t)?;
             }
             _ => {
                 // Multiplication or var-var arithmetic: outside the solver
                 // fragment; drop the constraint (sound weakening).
-                return Ok(vec![q]);
+                return Ok(q);
             }
         }
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// The solver term for integer variable `y`, binding it if needed.
@@ -320,13 +319,12 @@ impl Engine<'_> {
         obj: VarId,
         field: FieldId,
         idx: Option<Operand>,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         if self.config.representation != Representation::FullySymbolic {
             if let Val::Sym(s) = v {
                 if self.program.field(field).ty.is_ref() {
-                    let pt = self.pta.pt_var_field(obj, field);
-                    q.narrow(s, &pt)?;
+                    q.narrow(s, self.pt_var_field(obj, field))?;
                 }
             }
         }
@@ -340,7 +338,7 @@ impl Engine<'_> {
             None => None,
         };
         self.add_cell(&mut q, base_sym, field, v, idx_val)?;
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Inserts a heap cell, unifying with an existing cell for the same
@@ -369,19 +367,19 @@ impl Engine<'_> {
     /// and the value by `pt(src)`), plus one where it produced none of them.
     fn exec_write_back(
         &mut self,
-        q: Query,
+        mut q: Query,
         obj: VarId,
         field: FieldId,
         idx: Option<Operand>,
         src: Operand,
+        out: &mut Vec<Query>,
     ) -> Flow {
-        let cell_ids: Vec<usize> =
-            q.heap.iter().enumerate().filter(|(_, c)| c.field == field).map(|(i, _)| i).collect();
-        if cell_ids.is_empty() {
-            return Ok(vec![q]);
+        let matching = q.heap.iter().filter(|c| c.field == field).count();
+        if matching == 0 {
+            out.push(q);
+            return Ok(());
         }
-        self.charge(cell_ids.len() as u64)?;
-        let mut out = Vec::new();
+        self.charge(matching as u64)?;
 
         // Disjunct: the write did not produce any of the cells.
         match self.write_not_produced(q.clone(), obj, field, &idx) {
@@ -389,14 +387,22 @@ impl Engine<'_> {
             Err(r) => self.stats.count_refutation(r),
         }
 
-        // Disjuncts: the write produced cell `i`.
-        for i in cell_ids {
-            match self.write_produced(q.clone(), i, obj, &idx, src) {
-                Ok(q_i) => out.push(q_i),
-                Err(r) => self.stats.count_refutation(r),
+        // Disjuncts: the write produced cell `i`. The last one takes the
+        // query itself instead of a copy.
+        let mut left = matching;
+        let mut i = 0;
+        while left > 0 {
+            if q.heap[i].field == field {
+                left -= 1;
+                let qi = if left == 0 { std::mem::take(&mut q) } else { q.clone() };
+                match self.write_produced(qi, i, obj, &idx, src) {
+                    Ok(q_i) => out.push(q_i),
+                    Err(r) => self.stats.count_refutation(r),
+                }
             }
+            i += 1;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The "not produced" case of `WitWrite`: the written cell is separate
@@ -419,10 +425,11 @@ impl Engine<'_> {
             Some(op) => Some(self.int_operand(&mut q, *op)?),
             None => None,
         };
-        let cells: Vec<(crate::value::SymId, Option<Val>)> =
-            q.heap.iter().filter(|c| c.field == field).map(|c| (c.obj, c.idx)).collect();
-        for (cell_obj, cell_idx) in cells {
-            if cell_obj != base_sym {
+        // Adding index disequalities leaves the heap unchanged, so the
+        // cells can be walked in place.
+        for i in 0..q.heap.len() {
+            let (cell_obj, cell_idx) = (q.heap[i].obj, q.heap[i].idx);
+            if q.heap[i].field != field || cell_obj != base_sym {
                 // Distinct symbols: possibly disaliased; the disequality is
                 // dropped (kept implicitly via separation and `from`).
                 continue;
@@ -476,8 +483,8 @@ impl Engine<'_> {
         mut q: Query,
         dst: VarId,
         global: GlobalId,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         if self.config.representation != Representation::FullySymbolic {
             if let Val::Sym(s) = v {
                 if self.program.global(global).ty.is_ref() {
@@ -491,7 +498,7 @@ impl Engine<'_> {
                 q.statics.insert(global, v);
             }
         }
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Backwards `$G := src`: a strong update — the single cell `$G` was
@@ -501,10 +508,10 @@ impl Engine<'_> {
         mut q: Query,
         global: GlobalId,
         src: Operand,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.statics.remove(&global) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.statics.remove(&global) else { return Ok(q) };
         self.bind_value_to_operand(&mut q, v, src)?;
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// `WitNew` — `x := new @alloc` (and `newarray`): the bound instance
@@ -516,13 +523,13 @@ impl Engine<'_> {
         dst: VarId,
         alloc: tir::AllocId,
         array_len: Option<Operand>,
-    ) -> Result<Vec<Query>, Refuted> {
+    ) -> Result<Query, Refuted> {
         if let Some(victim) = &self.config.inject_panic_on_new {
             if self.program.alloc(alloc).name == *victim {
                 panic!("injected fault at allocation site {victim}");
             }
         }
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         let s = match v {
             Val::Sym(s) => s,
             // `new` yields a non-null reference.
@@ -567,17 +574,13 @@ impl Engine<'_> {
         if occurs_elsewhere {
             return Err(Refuted::Allocation);
         }
-        q.gc();
-        Ok(vec![q])
+        q.gc(&mut self.scratch);
+        Ok(q)
     }
 
     /// Backwards `return val`: consumes the pending return binding pushed
     /// by the caller's call transfer.
-    fn exec_return_back(
-        &mut self,
-        mut q: Query,
-        val: Option<Operand>,
-    ) -> Result<Vec<Query>, Refuted> {
+    fn exec_return_back(&mut self, mut q: Query, val: Option<Operand>) -> Result<Query, Refuted> {
         if let Some(v) = q.ret_slot.take() {
             match val {
                 Some(op) => self.bind_value_to_operand(&mut q, v, op)?,
@@ -588,7 +591,7 @@ impl Engine<'_> {
                 }
             }
         }
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// `WitAssume` — guard conditions. Path constraints are added only when

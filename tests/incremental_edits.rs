@@ -364,10 +364,8 @@ fn null_report_matches_from_scratch_after_edits() {
 
             let incremental = report(&program, &inc.result(&program));
             let options = PtaOptions { solver: SolverKind::Reference, ..PtaOptions::default() };
-            let scratch = report(
-                &program,
-                &analyze_with(&program, ContextPolicy::Insensitive, &options),
-            );
+            let scratch =
+                report(&program, &analyze_with(&program, ContextPolicy::Insensitive, &options));
             assert_eq!(
                 incremental.describe(&program),
                 scratch.describe(&program),

@@ -20,9 +20,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apps::NullMotif;
-use thresher::{
-    CacheMode, PointsToPolicy, PtaOptions, SolverKind, SymexConfig, Thresher,
-};
+use thresher::{CacheMode, PointsToPolicy, PtaOptions, SolverKind, SymexConfig, Thresher};
 use tir::Program;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -187,7 +185,10 @@ fn assert_identical_everywhere(name: &str, program: &Program) {
         );
         assert_eq!(baseline, cold, "{name} ({policy:?}): cold cache changed the report");
         let warm = report_bytes(
-            &mk(&PtaOptions::default()).with_cache(&dir, CacheMode::Read).expect("cache").with_jobs(4),
+            &mk(&PtaOptions::default())
+                .with_cache(&dir, CacheMode::Read)
+                .expect("cache")
+                .with_jobs(4),
             program,
         );
         assert_eq!(baseline, warm, "{name} ({policy:?}): warm cache changed the report");

@@ -758,3 +758,48 @@ fn tcp_listener_serves_and_drains() {
     let summary = runner.join().expect("runner join");
     assert_eq!(summary.completed, 2);
 }
+
+/// With its default configuration (two workers, a 4 MiB store cap) the
+/// daemon keeps every decision of an OpenSudoku analysis: a second
+/// `analyze` hits the store on every decided edge and answers exactly like
+/// the first. Stored decisions carry their metric deltas, so a delta whose
+/// size grew with the search would push the store past its cap, and
+/// compaction would then drop records the warm request needs.
+#[test]
+fn default_daemon_warm_analyze_hits_every_decision() {
+    let cache = tmp("warm-opensudoku");
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus/opensudoku.tir");
+    let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap()]);
+    let mut stdin = child.stdin.take().expect("daemon stdin");
+    let mut reader = BufReader::new(child.stdout.take().expect("daemon stdout"));
+    // One request in flight at a time, like a closed-loop client.
+    let mut call = |id: u64, method: &str, params: &[(&str, Value)]| -> Value {
+        writeln!(stdin, "{}", request(id, method, params)).expect("send request");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        let v = obs::json::parse(&line).expect("response is JSON");
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(id), "{line}");
+        v.get("ok").unwrap_or_else(|| panic!("request {id} failed: {line}")).clone()
+    };
+    let program = [("program", Value::str("sudoku"))];
+    call(
+        1,
+        "load_program",
+        &[("name", Value::str("sudoku")), ("path", Value::str(corpus.to_str().unwrap()))],
+    );
+    let cold = call(2, "analyze", &program);
+    let warm = call(3, "analyze", &program);
+    drop(stdin);
+    assert_eq!(wait_with_timeout(&mut child, "warm analyze"), 0);
+
+    let cost = |v: &Value, key: &str| {
+        v.get("cost").and_then(|c| c.get(key)).and_then(Value::as_u64).expect("cost field")
+    };
+    let decided = cost(&cold, "cache_misses");
+    assert!(decided > 0, "the cold analyze decided nothing");
+    assert_eq!(cost(&cold, "cache_hits"), 0);
+    assert_eq!(cost(&warm, "cache_hits"), decided, "warm analyze missed stored decisions");
+    assert_eq!(cost(&warm, "cache_misses"), 0);
+    assert_eq!(strip_cost(&warm), strip_cost(&cold), "warm answers differ from cold");
+    let _ = fs::remove_dir_all(&cache);
+}
